@@ -48,7 +48,6 @@ impl Comparison {
 /// The fixed top-level timing keys compared between reports.
 const NETWORK_KEYS: &[&str] = &["sequential_ms", "parallel_ms"];
 const LIFT_KEYS: &[&str] = &["fresh_ms", "incremental_ms"];
-const LIFT_PARALLEL_KEYS: &[&str] = &["serial_ms", "sharded_ms"];
 const LINT_KEYS: &[&str] = &["wall_ms"];
 const STAGE_KEYS: &[&str] = &["explain", "lift"];
 const SERVE_KEYS: &[&str] = &["cold_ms", "warm_ms"];
@@ -127,24 +126,6 @@ pub fn compare_reports(old: &Value, new: &Value, threshold_pct: f64) -> Comparis
             lookup(new, &["lift", key]),
         );
     }
-    // `sharded_ms` measures multi-core speedup; on a single-core run it
-    // degenerates to serial-plus-overhead and comparing it against a
-    // multi-core baseline (or vice versa) reports a phantom regression.
-    // `serial_ms` is core-count-independent and still compares.
-    let single_core = |r: &Value| lookup(r, &["lift_parallel", "cores"]).is_some_and(|c| c <= 1.0);
-    let skip_speedup = single_core(old) || single_core(new);
-    let mut speedup_skips = Vec::new();
-    for key in LIFT_PARALLEL_KEYS {
-        if skip_speedup && *key == "sharded_ms" {
-            speedup_skips.push(format!("lift_parallel.{key} (single-core run)"));
-            continue;
-        }
-        push(
-            format!("lift_parallel.{key}"),
-            lookup(old, &["lift_parallel", key]),
-            lookup(new, &["lift_parallel", key]),
-        );
-    }
     for key in LINT_KEYS {
         push(
             format!("lint_network.{key}"),
@@ -166,7 +147,6 @@ pub fn compare_reports(old: &Value, new: &Value, threshold_pct: f64) -> Comparis
             lookup(new, &["explain_delta", key]),
         );
     }
-    out.skipped.extend(speedup_skips);
     out
 }
 
@@ -204,7 +184,7 @@ pub fn render(cmp: &Comparison, threshold_pct: f64) -> String {
 mod tests {
     use super::*;
 
-    fn report_on_cores(lift_ms: f64, seq_ms: f64, cores: u32, sharded_ms: f64) -> Value {
+    fn report(lift_ms: f64, seq_ms: f64) -> Value {
         serde_json::from_str(&format!(
             r#"{{
               "scenarios": [
@@ -213,7 +193,6 @@ mod tests {
               ],
               "network": {{"sequential_ms": {seq_ms}, "parallel_ms": 40.0}},
               "lift": {{"fresh_ms": 30.0, "incremental_ms": 12.0}},
-              "lift_parallel": {{"serial_ms": 25.0, "sharded_ms": {sharded_ms}, "cores": {cores}}},
               "lint_network": {{"wall_ms": 20.0}},
               "serve": {{"cold_ms": 100.0, "warm_ms": 15.0}},
               "explain_delta": {{"full_ms": 60.0, "delta_ms": 14.0}}
@@ -222,49 +201,13 @@ mod tests {
         .unwrap()
     }
 
-    fn report(lift_ms: f64, seq_ms: f64) -> Value {
-        report_on_cores(lift_ms, seq_ms, 8, 9.0)
-    }
-
     #[test]
     fn identical_reports_have_no_regressions() {
         let r = report(8.0, 50.0);
         let cmp = compare_reports(&r, &r, 25.0);
         assert!(cmp.regressions().is_empty(), "{cmp:?}");
-        assert_eq!(cmp.deltas.len(), 13);
+        assert_eq!(cmp.deltas.len(), 11);
         assert!(cmp.skipped.is_empty());
-    }
-
-    #[test]
-    fn single_core_runs_skip_the_sharded_speedup_key() {
-        // A single-core machine can't demonstrate sharding speedup: its
-        // sharded_ms is serial work plus coordination overhead, and diffing
-        // it against a multi-core baseline would flag a phantom regression.
-        let old = report_on_cores(8.0, 50.0, 8, 9.0);
-        let new = report_on_cores(8.0, 50.0, 1, 31.0);
-        let cmp = compare_reports(&old, &new, 25.0);
-        assert!(cmp.regressions().is_empty(), "{cmp:?}");
-        assert!(
-            cmp.skipped
-                .iter()
-                .any(|k| k.starts_with("lift_parallel.sharded_ms")),
-            "{cmp:?}"
-        );
-        // The core-count-independent serial key still compares.
-        assert!(
-            cmp.deltas
-                .iter()
-                .any(|d| d.key == "lift_parallel.serial_ms"),
-            "{cmp:?}"
-        );
-        // And the skip applies whichever side is single-core.
-        let cmp = compare_reports(&new, &old, 25.0);
-        assert!(
-            cmp.skipped
-                .iter()
-                .any(|k| k.starts_with("lift_parallel.sharded_ms")),
-            "{cmp:?}"
-        );
     }
 
     #[test]

@@ -206,16 +206,6 @@ pub fn network_report_with(budget: &Budget, workers: usize) -> Result<Value, Str
         ExplainAllOptions {
             explain: ExplainOptions {
                 budget: budget.clone(),
-                // The parallel path runs the sharded lifter so idle router
-                // workers steal lift shards from the dominant router — the
-                // fix for the fan-out being serialized on one lift. `0`
-                // resolves to the machine's parallelism: on a single-core
-                // box sharding is pure overhead and stays off, exactly as a
-                // production deployment would configure it.
-                lift: netexpl_core::LiftOptions {
-                    workers: 0,
-                    ..Default::default()
-                },
                 ..Default::default()
             },
             workers,
@@ -266,18 +256,6 @@ pub fn network_report_with(budget: &Budget, workers: usize) -> Result<Value, Str
         ("cache_crossings", Value::from(all.cache_size)),
         ("cache_hits", Value::from(all.cache_hits)),
         ("cache_misses", Value::from(all.cache_misses)),
-        (
-            "lift_workers",
-            Value::from(
-                netexpl_core::LiftOptions {
-                    workers: 0,
-                    ..Default::default()
-                }
-                .effective_workers(),
-            ),
-        ),
-        ("lift_shards", Value::from(all.lift_shards)),
-        ("lift_shards_stolen", Value::from(all.lift_shards_stolen)),
         ("partial", Value::from(all.partial())),
         ("sequential", Value::from(sequential)),
         ("parallel", Value::from(parallel)),
@@ -376,117 +354,9 @@ pub fn lift_report_with(budget: &Budget) -> Result<Value, String> {
             Value::from(inc_metrics.counter("session.db_reductions")),
         ),
         ("candidates_checked", Value::from(inc.candidates_checked)),
-        // Honest accounting: this section times the *serial* lifter (one
-        // worker, zero shards); the parallel experiment lives in the
-        // `lift_parallel` section.
-        ("lift_workers", Value::from(1u64)),
-        ("shards", Value::from(inc.shards)),
         (
             "subspec_agrees",
             Value::from(inc.subspec == fresh.subspec && inc.complete == fresh.complete),
-        ),
-    ]))
-}
-
-/// Parallel-lift section: scenario 3's `Req1` at R2 (the dominant router —
-/// its ~41 candidate checks are what serialize `explain --all`), lifted
-/// once serially and once sharded over 4 cloned sessions, from
-/// identically built seeds. Alongside the two walls and the speedup it
-/// records the determinism check the differential suite enforces: the
-/// sharded subspecification must equal the serial one byte for byte.
-pub fn lift_parallel_report_with(budget: &Budget) -> Result<Value, String> {
-    use netexpl_synth::encode::EncodeOptions;
-    use netexpl_synth::sketch::HoleFactory;
-
-    const WORKERS: usize = 4;
-    let (topo, h, net, spec) = scenario3();
-    let spec = only_blocks(&spec, &["Req1"]);
-    let vocab = paper_vocab(&topo, net.prefixes());
-
-    let run = |workers: usize| -> Result<_, String> {
-        let (guard, handle) = netexpl_obs::install_memory();
-        let mut ctx = Ctx::new();
-        let sorts = vocab.sorts(&mut ctx);
-        let factory = HoleFactory::new(&vocab, sorts);
-        let (sym, _table) = netexpl_core::symbolize(
-            &mut ctx,
-            &factory,
-            &topo,
-            &net,
-            h.r2,
-            &Selector::Session {
-                neighbor: h.p2,
-                dir: Dir::Export,
-            },
-        );
-        let seed = netexpl_core::seed_spec(
-            &mut ctx,
-            &topo,
-            &vocab,
-            sorts,
-            &sym,
-            &spec,
-            EncodeOptions {
-                max_path_len: topo.num_routers(),
-            },
-        )
-        .map_err(|e| format!("lift_parallel bench seed: {e}"))?;
-        let t0 = Instant::now();
-        let result = netexpl_core::lift(
-            &mut ctx,
-            &topo,
-            &spec,
-            &seed,
-            h.r2,
-            netexpl_core::LiftOptions {
-                budget: budget.clone(),
-                workers,
-                ..Default::default()
-            },
-        );
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        drop(guard);
-        let metrics = handle.metrics().unwrap_or_default();
-        Ok((ms, result, metrics))
-    };
-
-    // Sharded first: the conservative ordering gives the run under test
-    // the cold start, so allocator/page-cache warm-up favours the serial
-    // baseline and can only *understate* the reported speedup.
-    let (sharded_ms, sharded, sharded_metrics) = run(WORKERS)?;
-    let (serial_ms, serial, _serial_metrics) = run(1)?;
-
-    Ok(Value::object([
-        ("router", Value::from(serial.subspec.router.as_str())),
-        ("workers", Value::from(WORKERS)),
-        // The speedup only means something next to the core count: on a
-        // single-core box sharding can at best break even, and the row
-        // records the overhead floor instead (CI gates on this field).
-        (
-            "cores",
-            std::thread::available_parallelism()
-                .map(|n| Value::from(n.get()))
-                .unwrap_or(Value::Null),
-        ),
-        ("serial_ms", Value::from(serial_ms)),
-        ("sharded_ms", Value::from(sharded_ms)),
-        ("speedup", Value::from(serial_ms / sharded_ms.max(1e-9))),
-        ("shards", Value::from(sharded.shards)),
-        ("shards_stolen", Value::from(sharded.shards_stolen)),
-        ("serial_checked", Value::from(serial.candidates_checked)),
-        ("sharded_checked", Value::from(sharded.candidates_checked)),
-        (
-            "speculative_checks",
-            Value::from(sharded_metrics.counter("lift.speculative_checks")),
-        ),
-        (
-            "subspec_agrees",
-            Value::from(
-                sharded.subspec == serial.subspec
-                    && sharded.complete == serial.complete
-                    && sharded.candidates_checked == serial.candidates_checked
-                    && sharded.rejected == serial.rejected,
-            ),
         ),
     ]))
 }
@@ -613,13 +483,11 @@ Req1 { !(P1 -> ... -> P2) }
 /// The incremental re-explanation experiment on the paper scenario:
 ///
 /// 1. explain every router on the base configuration (the prior run);
-/// 2. re-explain the *same* configuration from the same base context,
-///    measuring the warm lift-session reuse a serve deployment sees;
-/// 3. apply a one-clause cosmetic edit (an order-preserving seq
+/// 2. apply a one-clause cosmetic edit (an order-preserving seq
 ///    renumber) and run [`explain_delta`], which diffs the route-map
 ///    fingerprints, recomputes only the routers the edit can reach, and
 ///    splices the prior reports in for the rest;
-/// 4. explain the edited configuration from scratch, the baseline the
+/// 3. explain the edited configuration from scratch, the baseline the
 ///    delta competes against — and the reference `delta_agrees` checks
 ///    the merged explanation against, router by router.
 ///
@@ -627,7 +495,7 @@ Req1 { !(P1 -> ... -> P2) }
 /// release-profile CI smoke gates on; the debug test only asserts
 /// structure and agreement.
 pub fn explain_delta_report_with(budget: &Budget) -> Result<Value, String> {
-    use netexpl_core::{explain_delta, LiftOptions, LiftSessionStore};
+    use netexpl_core::explain_delta;
     use netexpl_synth::encode::EncodeCache;
 
     const WORKERS: usize = 4;
@@ -661,14 +529,9 @@ pub fn explain_delta_report_with(budget: &Budget) -> Result<Value, String> {
     let edited_router =
         edited_router.ok_or_else(|| "no renumberable route-map entry".to_string())?;
 
-    let store = LiftSessionStore::new();
     let options = || ExplainAllOptions {
         explain: ExplainOptions {
             budget: budget.clone(),
-            lift: LiftOptions {
-                session_store: Some(store.clone()),
-                ..Default::default()
-            },
             ..Default::default()
         },
         workers: WORKERS,
@@ -681,8 +544,6 @@ pub fn explain_delta_report_with(budget: &Budget) -> Result<Value, String> {
     let old_sorts = vocab.sorts(&mut old_ctx);
     let old_cache = EncodeCache::build(&mut old_ctx, &topo, &vocab, old_sorts, &old_net, encode)
         .map_err(|e| format!("delta bench build: {e}"))?;
-    let mut opts = options();
-    opts.explain.lift.session_key = Some(netexpl_bgp::fingerprint_config(&old_net).exact);
     let t0 = Instant::now();
     let prior = netexpl_core::explain_all_cached(
         &mut old_ctx,
@@ -692,33 +553,11 @@ pub fn explain_delta_report_with(budget: &Budget) -> Result<Value, String> {
         &old_net,
         &spec,
         &Selector::Router,
-        opts,
+        options(),
         &old_cache,
     )
     .map_err(|e| format!("delta bench prior: {e}"))?;
     let prior_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    // Repeat leg: the same configuration again from the same base context.
-    // The pipeline re-mints identical term ids, so the lift sessions
-    // deposited above replay — the warm-reuse path a server lives on.
-    let mut opts = options();
-    opts.explain.lift.session_key = Some(netexpl_bgp::fingerprint_config(&old_net).exact);
-    let (h0, m0) = (store.hits(), store.misses());
-    let t0 = Instant::now();
-    let _repeat = netexpl_core::explain_all_cached(
-        &mut old_ctx,
-        &topo,
-        &vocab,
-        old_sorts,
-        &old_net,
-        &spec,
-        &Selector::Router,
-        opts,
-        &old_cache,
-    )
-    .map_err(|e| format!("delta bench repeat: {e}"))?;
-    let repeat_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let (repeat_hits, repeat_misses) = (store.hits() - h0, store.misses() - m0);
 
     // From-scratch baseline on the edited configuration: a fresh context,
     // a fresh encoding, every router re-explained. This is what a
@@ -794,15 +633,10 @@ pub fn explain_delta_report_with(budget: &Budget) -> Result<Value, String> {
         ("crossings_reused", Value::from(report.patch.reused)),
         ("crossings_recomputed", Value::from(report.patch.recomputed)),
         ("prior_ms", Value::from(prior_ms)),
-        ("repeat_ms", Value::from(repeat_ms)),
-        ("repeat_session_hits", Value::from(repeat_hits)),
-        ("repeat_session_misses", Value::from(repeat_misses)),
         ("full_ms", Value::from(full_ms)),
         ("delta_ms", Value::from(delta_ms)),
         ("speedup", Value::from(full_ms / delta_ms.max(1e-9))),
         ("delta_faster", Value::from(delta_ms < full_ms)),
-        ("delta_session_hits", Value::from(report.session_hits)),
-        ("delta_session_misses", Value::from(report.session_misses)),
         ("delta_agrees", Value::from(delta_agrees)),
     ]))
 }
@@ -826,7 +660,6 @@ pub fn explain_report_with(budget: &Budget) -> Result<Value, String> {
         ("scenarios", Value::from(runs)),
         ("network", network_report_with(budget, 4)?),
         ("lift", lift_report_with(budget)?),
-        ("lift_parallel", lift_parallel_report_with(budget)?),
         ("lint_network", lint_network_report_with(budget)?),
         ("serve", serve_report_with(budget)?),
         ("explain_delta", explain_delta_report_with(budget)?),
@@ -884,23 +717,6 @@ mod tests {
         assert!(lift["incremental_queries"].as_u64().unwrap() > 0);
         assert!(lift["candidates_checked"].as_u64().unwrap() > 0);
         assert_eq!(lift["subspec_agrees"], Value::Bool(true));
-    }
-
-    #[test]
-    fn lift_parallel_section_is_deterministic_and_counts_shards() {
-        let budget = Budget::unlimited().deadline_in(std::time::Duration::from_secs(60));
-        let lp = lift_parallel_report_with(&budget).unwrap();
-        assert!(lp["serial_ms"].as_f64().unwrap() > 0.0);
-        assert!(lp["sharded_ms"].as_f64().unwrap() > 0.0);
-        assert!(lp["speedup"].as_f64().is_some());
-        assert!(lp["shards"].as_u64().unwrap() >= 1);
-        assert_eq!(
-            lp["serial_checked"].as_u64(),
-            lp["sharded_checked"].as_u64()
-        );
-        // Timing assertions (speedup > 1) belong to the release-profile CI
-        // smoke; in debug the determinism bit is the invariant.
-        assert_eq!(lp["subspec_agrees"], Value::Bool(true));
     }
 
     #[test]
@@ -979,11 +795,6 @@ mod tests {
         assert!(delta["crossings_reused"].as_u64().unwrap() > 0);
         assert!(delta["full_ms"].as_f64().unwrap() > 0.0);
         assert!(delta["delta_ms"].as_f64().unwrap() > 0.0);
-        // The repeat leg replays the deposited lift sessions.
-        assert!(
-            delta["repeat_session_hits"].as_u64().unwrap() > 0,
-            "{delta:?}"
-        );
         // Timing (delta_faster) is gated by the release-profile CI smoke;
         // in debug the correctness bit is the invariant.
         assert_eq!(delta["delta_agrees"], Value::Bool(true), "{delta:?}");

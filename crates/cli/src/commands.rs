@@ -3,8 +3,7 @@
 use netexpl_core::symbolize::{Dir, Selector};
 use netexpl_core::{
     explain, explain_all, explain_all_cached, explain_delta, synthesize_problem, DeltaProvenance,
-    Error, ExplainAllOptions, ExplainOptions, Explanation, LiftOptions, RouterOutcome,
-    RouterReport,
+    Error, ExplainAllOptions, ExplainOptions, Explanation, RouterOutcome, RouterReport,
 };
 use netexpl_lint::{
     lint_config, lint_network, lint_selector, lint_spec, Diagnostics, Suppressions,
@@ -92,18 +91,6 @@ fn parse_workers(opts: &Options) -> Result<usize, Error> {
         Some(w) => w
             .parse()
             .map_err(|_| usage(format!("--workers takes a count, not `{w}`"))),
-    }
-}
-
-/// Parse `--lift-workers <n>`: shards for the lifter's candidate checks.
-/// Absent means 1 (the serial lifter); 0 means auto (available
-/// parallelism). The chosen subspecification is identical at every value.
-fn parse_lift_workers(opts: &Options) -> Result<usize, Error> {
-    match opts.get("lift-workers") {
-        None => Ok(1),
-        Some(w) => w
-            .parse()
-            .map_err(|_| usage(format!("--lift-workers takes a count, not `{w}`"))),
     }
 }
 
@@ -429,10 +416,6 @@ pub fn explain_cmd(args: &[String]) -> Result<(), Error> {
     let explain_opts = ExplainOptions {
         skip_lift: opts.flag("skip-lift"),
         budget,
-        lift: LiftOptions {
-            workers: parse_lift_workers(&opts)?,
-            ..Default::default()
-        },
         ..Default::default()
     };
 
@@ -521,8 +504,6 @@ fn explain_all_cmd(
             ("cache_crossings", Value::from(all.cache_size)),
             ("cache_hits", Value::from(all.cache_hits)),
             ("cache_misses", Value::from(all.cache_misses)),
-            ("lift_shards", Value::from(all.lift_shards)),
-            ("lift_shards_stolen", Value::from(all.lift_shards_stolen)),
             ("cancelled", Value::from(all.cancelled)),
             ("partial", Value::from(all.partial())),
             ("routers", Value::from(routers)),
@@ -675,10 +656,6 @@ pub fn profile(args: &[String]) -> Result<(), Error> {
     let explain_opts = ExplainOptions {
         skip_lift: opts.flag("skip-lift"),
         budget,
-        lift: LiftOptions {
-            workers: parse_lift_workers(&opts)?,
-            ..Default::default()
-        },
         ..Default::default()
     };
     if opts.flag("lint") {
@@ -845,10 +822,6 @@ pub fn diff(args: &[String]) -> Result<(), Error> {
         explain: ExplainOptions {
             skip_lift: opts.flag("skip-lift"),
             budget,
-            lift: LiftOptions {
-                workers: parse_lift_workers(&opts)?,
-                ..Default::default()
-            },
             ..Default::default()
         },
         workers: parse_workers(&opts)?,
@@ -992,7 +965,6 @@ pub fn diff(args: &[String]) -> Result<(), Error> {
             ("recomputed", Value::from(report.recomputed)),
             ("crossings_reused", Value::from(report.patch.reused)),
             ("crossings_recomputed", Value::from(report.patch.recomputed)),
-            ("session_hits", Value::from(report.session_hits)),
             ("full_ms", Value::from(full_ms)),
             ("delta_ms", Value::from(delta_ms)),
             ("routers", Value::from(routers)),

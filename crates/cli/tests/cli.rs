@@ -701,6 +701,31 @@ fn profile_requires_exactly_one_workload() {
     assert!(stderr.contains("--router"), "{stderr}");
 }
 
+/// `NETEXPL_FAULT` accepts only live injection sites: a typo, or a site
+/// the pipeline no longer has (`lift.shard`), is a usage error rather
+/// than a fault that silently never fires.
+#[test]
+fn unknown_fault_sites_are_rejected() {
+    let spec = spec_file("faultsite", SPEC);
+    for site in ["no.such.site", "lift.shard"] {
+        let out = netexpl()
+            .env("NETEXPL_FAULT", site)
+            .args([
+                "synth",
+                "--topology",
+                "paper",
+                "--spec",
+                spec.to_str().unwrap(),
+            ])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{site}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("error[NX001]"), "{site}: {stderr}");
+        assert!(stderr.contains(site), "{site}: {stderr}");
+    }
+}
+
 #[test]
 fn bench_compare_gates_on_regressions() {
     let dir = std::env::temp_dir();

@@ -50,17 +50,9 @@
 //! and verdicts. The differential suite (`tests/explain_delta.rs`) checks
 //! exactly that contract against from-scratch runs.
 //!
-//! ## Warm solver sessions
-//!
-//! When the caller keeps a [`LiftSessionStore`] across runs, lift solver
-//! sessions (learned clauses, variable activity) deposited under the new
-//! configuration's exact fingerprint are cloned instead of rebuilt on
-//! repeat explanations of the *same* configuration — `netexpl serve`'s
-//! warm-pool case. Each store entry snapshots its depositor's term arena,
-//! so a later worker (whose own arena is a clone of the shared base, a
-//! prefix of the snapshot) fast-forwards to it on a hit. Dirty routers
-//! within a delta run get fresh sessions: the store is re-scoped to the
-//! new fingerprint, dropping every entry deposited under the old one.
+//! What a delta run reuses is prior *reports* and cache *crossings*. Every
+//! dirty router's lift encodes a fresh solver session, exactly as on a
+//! full run.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
@@ -335,9 +327,10 @@ pub struct DeltaReport {
     pub recomputed: usize,
     /// Crossings replayed vs recomputed while patching the cache.
     pub patch: PatchStats,
-    /// Warm lift sessions cloned from the caller's store during this run.
+    /// Always 0: lift sessions are never reused across runs. Kept so
+    /// existing readers still compile.
     pub session_hits: u64,
-    /// Lift session store lookups that built fresh sessions.
+    /// Always 0, like [`DeltaReport::session_hits`].
     pub session_misses: u64,
     /// Wall clock for the whole delta (plan + patch + dirty fan-out).
     pub wall: Duration,
@@ -351,11 +344,6 @@ pub struct DeltaReport {
 /// consumed — clean routers' reports move into the returned explanation.
 /// The returned [`DeltaReport::cache`] supersedes `cache` for subsequent
 /// deltas against the new configuration.
-///
-/// When `options.explain.lift.session_store` is set, the store is scoped
-/// to the new configuration's exact fingerprint (stale entries dropped)
-/// and dirty routers deposit their end-of-lift solver sessions for the
-/// next run over the same configuration.
 #[allow(clippy::too_many_arguments)]
 pub fn explain_delta(
     ctx: &mut Ctx,
@@ -366,7 +354,7 @@ pub fn explain_delta(
     new_config: &NetworkConfig,
     spec: &Specification,
     selector: &Selector,
-    mut options: ExplainAllOptions,
+    options: ExplainAllOptions,
     prior: NetworkExplanation,
     cache: &EncodeCache,
 ) -> Result<DeltaReport, ExplainError> {
@@ -395,19 +383,6 @@ pub fn explain_delta(
         (patched, stats)
     };
 
-    // Scope the warm-session store to the new configuration.
-    let new_fp = fingerprint_config(new_config).exact;
-    let session_before = options
-        .explain
-        .lift
-        .session_store
-        .as_ref()
-        .map(|s| (s.hits(), s.misses()));
-    if let Some(store) = &options.explain.lift.session_store {
-        store.retain_fingerprint(new_fp);
-        options.explain.lift.session_key = Some(new_fp);
-    }
-
     // Re-run the pipeline for the dirty subset only.
     let run = (!dirty_ids.is_empty()).then(|| {
         run_routers(
@@ -422,14 +397,14 @@ pub fn explain_delta(
         Some(ref _r) => HashMap::with_capacity(dirty_ids.len()),
         None => HashMap::new(),
     };
-    let (workers, fan_wall, lift_shards, lift_shards_stolen) = match run {
+    let (workers, fan_wall) = match run {
         Some(r) => {
             for (id, outcome) in dirty_ids.iter().zip(r.outcomes) {
                 fresh.insert(*id, outcome);
             }
-            (r.workers, r.wall, r.lift_shards, r.lift_shards_stolen)
+            (r.workers, r.wall)
         }
-        None => (0, Duration::ZERO, 0, 0),
+        None => (0, Duration::ZERO),
     };
     let mut prior_by_name: HashMap<String, RouterReport> = prior
         .routers
@@ -472,12 +447,6 @@ pub fn explain_delta(
         }
     }
 
-    let (session_hits, session_misses) =
-        match (session_before, options.explain.lift.session_store.as_ref()) {
-            (Some((h0, m0)), Some(store)) => (store.hits() - h0, store.misses() - m0),
-            _ => (0, 0),
-        };
-
     let wall = started.elapsed();
     netexpl_obs::counter_add("explain_delta.reused", reused as u64);
     netexpl_obs::counter_add("explain_delta.recomputed", recomputed as u64);
@@ -500,8 +469,6 @@ pub fn explain_delta(
             cache_hits: hits,
             cache_misses: misses,
             cancelled: options.fail_fast && any_failed,
-            lift_shards,
-            lift_shards_stolen,
         },
         cache: patched,
         diff: plan.diff,
@@ -509,8 +476,8 @@ pub fn explain_delta(
         reused,
         recomputed,
         patch: patch_stats,
-        session_hits,
-        session_misses,
+        session_hits: 0,
+        session_misses: 0,
         wall,
     })
 }

@@ -389,8 +389,6 @@ pub fn explain_cached(
             candidates_checked,
             provenance,
             interrupt,
-            shards,
-            shards_stolen,
             ..
         } = lift(ctx, topo, spec, &seed, router, lift_opts);
         if let Some(i) = interrupt {
@@ -408,10 +406,6 @@ pub fn explain_cached(
         span.attr("kept", subspec.requirements.len());
         span.attr("complete", complete);
         span.attr("verdict", verdicts.lift.as_str());
-        if shards > 0 {
-            span.attr("shards", shards);
-            span.attr("shards_stolen", shards_stolen);
-        }
         (subspec, complete, candidates_checked, provenance)
     };
     drop(span);

@@ -43,7 +43,6 @@ pub mod lift;
 pub mod network;
 pub mod problem;
 pub mod seed;
-pub mod shard;
 pub mod symbolize;
 
 pub use assume::{environment_assumptions, EnvironmentAssumptions};
@@ -59,5 +58,4 @@ pub use network::{
 };
 pub use problem::{parse_problem, synthesize_problem, topology_by_name, Problem};
 pub use seed::{seed_spec, seed_spec_cached, SeedSpec};
-pub use shard::{ProducerGuard, ShardPool};
 pub use symbolize::{symbolize, Dir, Field, Selector, SymbolInfo, SymbolTable};

@@ -55,35 +55,22 @@
 //! fresh-solver-per-query behaviour, with no model filter, for ablation and
 //! as the differential oracle; both paths answer identically.
 //!
-//! ## Parallel mode
+//! ## Serial by design
 //!
-//! With [`LiftOptions::workers`] above one the candidate checks are
-//! *sharded*: a warm-up prefix of candidates is judged serially on the
-//! freshly encoded session, the session is then cloned per shard —
-//! carrying the warm-up's learned clauses, VSIDS activity and witnesses —
-//! and the remaining candidates are judged speculatively on worker threads
-//! (or, in an `explain --all` run, on whichever pool worker steals the
-//! shard; see [`crate::shard::ShardPool`]). Each per-candidate verdict
-//! (trivial / unnecessary / keep-worthy) is a solver *fact*, independent of
-//! the order the queries ran in, so a final merge pass replays the exact
-//! serial control flow — shortest-first order, greedy coverage dedup,
-//! counting — over the verdict table. The chosen [`SubSpec`], the rejected set, and
-//! `candidates_checked` are therefore byte-identical to the serial lifter
-//! for every worker count; the only cost of parallelism is a few
-//! speculative queries on candidates the serial path would have
-//! coverage-filtered (counted as `lift.speculative_checks`). Budgets are
-//! [split](netexpl_logic::budget::Budget::split) across shards and an
-//! interrupt (deadline, conflict cap, fault) degrades only the shard that
-//! observed it: its unjudged candidates are treated as unexamined — never
-//! kept — while sibling shards' verdicts still count.
+//! [`lift`] judges every candidate in order on the calling thread, on the
+//! one session it encoded, and drops that session when it returns. After
+//! the model filter, one router's remaining candidate queries take a few
+//! milliseconds — less than copying the encoded `defs` to another thread
+//! would cost — so the lifter itself never parallelizes. A network-wide
+//! run spreads whole routers over worker threads instead
+//! ([`crate::network`]).
 //!
 //! The result is a [`SubSpec`] in the same language as the global
 //! specification — Figures 2, 4 and 5 of the paper fall out of this search
 //! (see the workspace integration tests).
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 use netexpl_logic::budget::{Budget, Interrupt, InterruptReason};
 use netexpl_logic::model::{Assignment, Evaluator};
@@ -94,7 +81,6 @@ use netexpl_spec::{PathPattern, Requirement, Seg, Specification, SubSpec};
 use netexpl_topology::{Prefix, RouterId, RouterKind, Topology};
 
 use crate::seed::SeedSpec;
-use crate::shard::ShardPool;
 
 /// Options bounding the lifting search.
 #[derive(Debug, Clone)]
@@ -108,31 +94,17 @@ pub struct LiftOptions {
     /// interrupt in [`LiftResult::interrupt`]; everything already kept stays
     /// necessary.
     pub budget: Budget,
-    /// Run the candidate checks on persistent [`SmtSession`]s (encode the
-    /// bases once, one assumption query per candidate) instead of a fresh
+    /// Run the candidate checks on a persistent [`SmtSession`] (encode the
+    /// base once, one assumption query per candidate) instead of a fresh
     /// solver per query. Defaults to [`incremental_enabled`]; disable for
     /// ablation or differential runs.
     pub incremental: bool,
-    /// Shards for the candidate checks: `1` (the default) runs the serial
-    /// lifter, `0` resolves to the machine's available parallelism, and
-    /// `n > 1` partitions the candidates across `n` cloned sessions.
-    /// The chosen subspecification is byte-identical for every value — see
-    /// the module docs' determinism argument.
+    /// Ignored: the lifter always runs on the calling thread. Kept so
+    /// existing callers that set it still compile.
     pub workers: usize,
-    /// Work-stealing pool to submit shards to instead of spawning local
-    /// helper threads. Set by `explain_all` so idle router workers execute
-    /// the dominant router's shards; leave `None` for a standalone lift.
-    pub pool: Option<Arc<ShardPool>>,
-    /// Warm-session store for incremental re-explanation: lifted sessions
-    /// are deposited here and reused (cloned, learned clauses and VSIDS
-    /// activity intact) when the same router is lifted again under an
-    /// identical configuration. Requires [`LiftOptions::session_key`].
+    /// Ignored: every lift builds its own session and drops it on return.
+    /// Kept so existing callers that set it still compile.
     pub session_store: Option<Arc<LiftSessionStore>>,
-    /// The exact configuration fingerprint scoping
-    /// [`LiftOptions::session_store`] entries — reuse is only attempted
-    /// when the whole network configuration is byte-identical to the one
-    /// the sessions were deposited under (see the store's soundness note).
-    pub session_key: Option<u64>,
 }
 
 impl Default for LiftOptions {
@@ -143,169 +115,21 @@ impl Default for LiftOptions {
             budget: Budget::unlimited(),
             incremental: incremental_enabled(),
             workers: 1,
-            pool: None,
             session_store: None,
-            session_key: None,
         }
     }
 }
 
-/// A cross-run store of warm lifter sessions, the session-reuse half of
-/// incremental re-explanation (`explain_delta`).
-///
-/// Entries are keyed by `(router, exact configuration fingerprint)` and
-/// additionally validated against the seed's `defs`/`reqs` term ids at
-/// lookup, so a clone is only handed out when the assertion base is
-/// provably the one the session encodes. **Soundness contract:** a store
-/// must only be consulted from (clones of) the term-arena lineage its
-/// entries were deposited from — term ids are meaningless across unrelated
-/// arenas. `netexpl serve` scopes one store per pooled session; the delta
-/// engine threads one across runs sharing a patched [`EncodeCache`]'s base
-/// context. Within that lineage, an identical configuration re-derives an
-/// identical seed (the pipeline is deterministic), so matching ids imply
-/// matching terms; anything else — an edited router, a different selector
-/// — re-derives different ids and falls back to fresh sessions, exactly
-/// the "learned clauses carry over where the assertion base is unchanged"
-/// rule.
-///
-/// Each entry also snapshots the depositing worker's [`Ctx`]. The session
-/// internally references terms minted *during* candidate checking (lowered
-/// forms in the bit-blaster memo, definition literals), which a later
-/// borrower's arena has not re-minted yet — worker arenas are clones whose
-/// growth is discarded after each run. A hit therefore fast-forwards the
-/// borrower's context to the snapshot: the borrower's arena is a strict
-/// prefix of it (identical derivation up to the consult point, checked),
-/// so the replacement preserves every id the borrower already holds while
-/// making every id the session references live again.
-#[derive(Default)]
-pub struct LiftSessionStore {
-    entries: Mutex<HashMap<(RouterId, u64), StoredSession>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-struct StoredSession {
-    defs: TermId,
-    reqs: TermId,
-    /// The depositing worker's full term arena: the session's memoized
-    /// lowerings reference terms in it that exist in no other context.
-    ctx: Ctx,
-    session: SmtSession,
-}
-
-impl std::fmt::Debug for LiftSessionStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LiftSessionStore")
-            .field("entries", &self.len())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .finish()
-    }
-}
+/// An empty placeholder for [`LiftOptions::session_store`], which the
+/// lifter ignores: it holds nothing and is never consulted. Kept so
+/// existing callers that construct one still compile.
+#[derive(Debug, Default)]
+pub struct LiftSessionStore;
 
 impl LiftSessionStore {
-    /// An empty store, ready to share across runs.
+    /// A shareable empty store.
     pub fn new() -> Arc<LiftSessionStore> {
-        Arc::new(LiftSessionStore::default())
-    }
-
-    /// Number of stored sessions.
-    pub fn len(&self) -> usize {
-        self.entries.lock().expect("session store poisoned").len()
-    }
-
-    /// True when nothing has been deposited.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Warm clones handed out so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that fell back to fresh sessions.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Drop every entry recorded under a fingerprint other than `fp` —
-    /// called after a configuration edit so stale sessions never linger.
-    pub fn retain_fingerprint(&self, fp: u64) {
-        self.entries
-            .lock()
-            .expect("session store poisoned")
-            .retain(|&(_, key_fp), _| key_fp == fp);
-    }
-
-    /// Clone out the stored session for `key` when its assertion base
-    /// matches, fast-forwarding `ctx` to the deposit-time arena snapshot so
-    /// every term the session references is live. The borrower's arena must
-    /// be a prefix of the snapshot (same lineage, identical derivation up
-    /// to the consult point); anything else misses and falls back to a
-    /// fresh session.
-    fn take_clone(
-        &self,
-        key: (RouterId, u64),
-        defs: TermId,
-        reqs: TermId,
-        ctx: &mut Ctx,
-    ) -> Option<Box<SmtSession>> {
-        let entries = self.entries.lock().expect("session store poisoned");
-        let stored = entries.get(&key)?;
-        if stored.defs != defs || stored.reqs != reqs {
-            return None;
-        }
-        let n = ctx.num_terms();
-        if stored.ctx.num_terms() < n || stored.ctx.num_vars() < ctx.num_vars() {
-            return None;
-        }
-        // Spot-check the prefix claim on the borrower's newest term: a
-        // diverged lineage (contract violation) almost surely differs here,
-        // and a miss is always safe.
-        if n > 0 {
-            let last = TermId((n - 1) as u32);
-            if stored.ctx.node(last) != ctx.node(last) {
-                return None;
-            }
-        }
-        *ctx = stored.ctx.clone();
-        Some(Box::new(stored.session.clone()))
-    }
-
-    /// Deposit (or refresh) the session for `key`, snapshotting the arena
-    /// the session's internals point into.
-    fn deposit(
-        &self,
-        key: (RouterId, u64),
-        defs: TermId,
-        reqs: TermId,
-        ctx: &Ctx,
-        session: SmtSession,
-    ) {
-        self.entries.lock().expect("session store poisoned").insert(
-            key,
-            StoredSession {
-                defs,
-                reqs,
-                ctx: ctx.clone(),
-                session,
-            },
-        );
-    }
-}
-
-impl LiftOptions {
-    /// Resolve [`LiftOptions::workers`]: `0` means the machine's available
-    /// parallelism.
-    pub fn effective_workers(&self) -> usize {
-        if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.workers
-        }
+        Arc::new(LiftSessionStore)
     }
 }
 
@@ -325,7 +149,7 @@ pub struct LiftResult {
     /// unnecessary), in candidate order. Together with
     /// `subspec.requirements` this is the lifter's full verdict table —
     /// the differential and budget-soundness suites compare it across
-    /// worker counts and budgets.
+    /// solver backends and budgets.
     pub rejected: Vec<Requirement>,
     /// For each subspecification entry (parallel to
     /// `subspec.requirements`), the global requirement blocks that force it
@@ -336,11 +160,6 @@ pub struct LiftResult {
     /// search. The subspecification is still sound — every kept entry was
     /// verified necessary before the interrupt — but `complete` is `false`.
     pub interrupt: Option<Interrupt>,
-    /// Shards the candidate checks ran on (`0` = the serial path).
-    pub shards: usize,
-    /// Shards executed by a thread other than the one that submitted them
-    /// (work-stealing in `explain --all`, helper threads standalone).
-    pub shards_stolen: u64,
 }
 
 /// How many validated witnesses a session checker keeps. Every candidate
@@ -353,7 +172,6 @@ const MAX_WITNESSES: usize = 16;
 /// evaluator memoizes subterm values, and candidates share most of their
 /// structure with `defs`, so judging a later candidate against it is
 /// mostly memo lookups.
-#[derive(Clone)]
 struct Witness {
     eval: Evaluator,
     /// The model also satisfies `reqs`: a `defs ∧ reqs` witness.
@@ -371,7 +189,6 @@ enum Refuted {
 }
 
 /// The bounded cache of validated witnesses, most recently useful first.
-#[derive(Clone)]
 struct Witnesses {
     defs: TermId,
     reqs: TermId,
@@ -451,13 +268,7 @@ enum Checker {
 }
 
 impl Checker {
-    fn new(
-        ctx: &mut Ctx,
-        router: RouterId,
-        defs: TermId,
-        reqs: TermId,
-        options: &LiftOptions,
-    ) -> Checker {
+    fn new(ctx: &mut Ctx, defs: TermId, reqs: TermId, options: &LiftOptions) -> Checker {
         if !options.incremental {
             let seed_conj = ctx.and2(defs, reqs);
             return Checker::Fresh {
@@ -466,54 +277,12 @@ impl Checker {
                 budget: options.budget.clone(),
             };
         }
-        // Warm path: a prior lift of this router under an identical
-        // configuration deposited its session — clone it, learned clauses
-        // and VSIDS activity intact, instead of re-encoding.
-        let mut warm = None;
-        if let (Some(store), Some(fp)) = (&options.session_store, options.session_key) {
-            warm = store.take_clone((router, fp), defs, reqs, ctx);
-            if warm.is_some() {
-                store.hits.fetch_add(1, Ordering::Relaxed);
-                netexpl_obs::counter_add("lift.session_store.hits", 1);
-            } else {
-                store.misses.fetch_add(1, Ordering::Relaxed);
-                netexpl_obs::counter_add("lift.session_store.misses", 1);
-            }
-        }
-        let mut session = warm.unwrap_or_else(|| {
-            let mut session = Box::new(SmtSession::new());
-            session.assert(ctx, defs);
-            session
-        });
+        let mut session = Box::new(SmtSession::new());
+        session.assert(ctx, defs);
         session.set_budget(options.budget.clone());
         Checker::Session {
             session,
             witnesses: Witnesses::new(defs, reqs),
-        }
-    }
-
-    /// A shard's private checker under its budget share. The session
-    /// flavour clones the session — warm-started with every learned clause
-    /// the warm-up prefix produced — and the witnesses it admitted; the
-    /// fresh flavour just carries the base term ids (valid in any clone of
-    /// the originating context).
-    fn fork(&self, budget: Budget) -> Checker {
-        match self {
-            Checker::Fresh {
-                defs, seed_conj, ..
-            } => Checker::Fresh {
-                defs: *defs,
-                seed_conj: *seed_conj,
-                budget,
-            },
-            Checker::Session { session, witnesses } => {
-                let mut session = session.clone();
-                session.set_budget(budget);
-                Checker::Session {
-                    session,
-                    witnesses: witnesses.clone(),
-                }
-            }
         }
     }
 
@@ -651,8 +420,7 @@ enum CandKind {
 }
 
 /// One enumerated candidate: the requirement it would contribute, its
-/// constraint term (built in the base context, so the id is valid in every
-/// clone), and the judging policy its kind implies.
+/// constraint term, and the judging policy its kind implies.
 struct Candidate {
     req: Requirement,
     term: TermId,
@@ -669,19 +437,12 @@ impl Candidate {
         }
     }
 
-    /// Forbidden windows dominate the search, so only they pass through
-    /// per-candidate governance (fault site + coarse budget check), exactly
-    /// as the serial lifter always has.
-    fn governed(&self) -> bool {
-        matches!(self.kind, CandKind::Forbidden { .. })
-    }
-
     fn needs_necessity(&self) -> bool {
         !matches!(self.kind, CandKind::Preference)
     }
 }
 
-/// Enumerate every candidate the lifter will judge, in the serial order:
+/// Enumerate every candidate the lifter will judge, in judging order:
 /// forbidden-path windows shortest-first (truncated to `max_candidates`),
 /// then localized preferences, then localized reachability.
 fn enumerate_candidates(
@@ -826,13 +587,10 @@ struct CheckOutcome {
     rejected: Vec<Requirement>,
     checked: usize,
     interrupt: Option<Interrupt>,
-    shards: usize,
-    shards_stolen: u64,
 }
 
 /// A single candidate's solver verdict — a fact about `defs` / `defs ∧
-/// reqs`, independent of query order and of every other candidate. The
-/// merge pass turns verdicts into keeps under the serial control flow.
+/// reqs`, independent of query order and of every other candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Judgement {
     /// `defs ⊨ cand`: already guaranteed by the frozen network.
@@ -853,34 +611,20 @@ impl Judgement {
     }
 }
 
-/// Judge one candidate: governance (forbidden only), then the model
-/// filter, then whichever of the non-triviality and necessity queries the
-/// cached witnesses left open, under a `lift.candidate` span. Used
-/// verbatim by the serial loop's judging tail, the warm-up prefix, and the
-/// shard workers — one implementation, one semantics.
-#[allow(clippy::too_many_arguments)]
-fn judge(
-    ctx: &mut Ctx,
-    checker: &mut Checker,
-    budget: &Budget,
-    term: TermId,
-    label: &str,
-    kind: &'static str,
-    governed: bool,
-    needs_necessity: bool,
-) -> Result<Judgement, Interrupt> {
-    if governed {
-        governance(budget)?;
-    }
+/// Judge one candidate under a `lift.candidate` span: the model filter
+/// first, then whichever of the non-triviality and necessity queries the
+/// cached witnesses left open. Governance is the caller's.
+fn judge(ctx: &mut Ctx, checker: &mut Checker, cand: &Candidate) -> Result<Judgement, Interrupt> {
+    let needs_necessity = cand.needs_necessity();
     let span = netexpl_obs::Span::enter("lift.candidate");
     if span.is_recording() {
-        span.attr("template", label.to_string());
-        span.attr("kind", kind);
-        checker.set_origin(label);
+        span.attr("template", cand.label.clone());
+        span.attr("kind", cand.kind_str());
+        checker.set_origin(&cand.label);
     }
     // Model filter: a cached witness that falsifies the candidate decides
     // what it proves with no solver call.
-    let mut refuted = checker.refute(ctx, term);
+    let mut refuted = checker.refute(ctx, cand.term);
     if refuted == Some(Refuted::Seed) || (refuted.is_some() && !needs_necessity) {
         let verdict = if needs_necessity {
             Judgement::Unnecessary
@@ -894,14 +638,14 @@ fn judge(
     }
     // Non-trivial: not already guaranteed by the frozen network.
     if refuted.is_none() {
-        match checker.defs_entails(ctx, term) {
+        match checker.defs_entails(ctx, cand.term) {
             Ok(true) => {
                 span.attr("outcome", "trivial");
                 return Ok(Judgement::Trivial);
             }
             // The query's own model may also satisfy `reqs`, which would
             // settle necessity too.
-            Ok(false) => refuted = checker.refute(ctx, term),
+            Ok(false) => refuted = checker.refute(ctx, cand.term),
             Err(i) => {
                 span.attr("outcome", "interrupted");
                 return Err(i);
@@ -913,7 +657,7 @@ fn judge(
         let implied = if refuted == Some(Refuted::Seed) {
             false
         } else {
-            match checker.seed_entails(ctx, term) {
+            match checker.seed_entails(ctx, cand.term) {
                 Ok(implied) => implied,
                 Err(i) => {
                     span.attr("outcome", "interrupted");
@@ -930,27 +674,9 @@ fn judge(
     Ok(Judgement::Keep)
 }
 
-fn judge_candidate(
-    ctx: &mut Ctx,
-    checker: &mut Checker,
-    budget: &Budget,
-    cand: &Candidate,
-) -> Result<Judgement, Interrupt> {
-    judge(
-        ctx,
-        checker,
-        budget,
-        cand.term,
-        &cand.label,
-        cand.kind_str(),
-        cand.governed(),
-        cand.needs_necessity(),
-    )
-}
-
-/// The serial candidate loop: judge in order, greedily dedup forbidden
-/// windows on matched-path coverage, stop at the first interrupt.
-fn check_serial(
+/// The candidate loop: judge in order, greedily dedup forbidden windows on
+/// matched-path coverage, stop at the first interrupt.
+fn check_candidates(
     ctx: &mut Ctx,
     budget: &Budget,
     checker: &mut Checker,
@@ -962,14 +688,16 @@ fn check_serial(
     let mut checked = 0usize;
     let mut interrupt: Option<Interrupt> = None;
     for cand in candidates {
-        // Redundant: everything it would forbid is already forbidden by a
-        // chosen (shorter) candidate. Filtered before it counts as checked
-        // — and before its queries run at all.
         if let CandKind::Forbidden { matched } = &cand.kind {
+            // Forbidden windows dominate the search, so only they pass
+            // through per-candidate governance.
             if let Err(i) = governance(budget) {
                 interrupt = Some(i);
                 break;
             }
+            // Redundant: everything it would forbid is already forbidden by
+            // a chosen (shorter) candidate. Filtered before it counts as
+            // checked — and before its queries run at all.
             if matched.iter().all(|m| covered.contains(m)) {
                 netexpl_obs::counter_add("lift.templates_pruned", 1);
                 let span = netexpl_obs::Span::enter("lift.candidate");
@@ -982,7 +710,7 @@ fn check_serial(
             }
         }
         checked += 1;
-        match judge_candidate(ctx, checker, budget, cand) {
+        match judge(ctx, checker, cand) {
             Ok(Judgement::Trivial) | Ok(Judgement::Unnecessary) => {
                 rejected.push(cand.req.clone());
             }
@@ -1003,338 +731,6 @@ fn check_serial(
         rejected,
         checked,
         interrupt,
-        shards: 0,
-        shards_stolen: 0,
-    }
-}
-
-/// Candidates judged serially on the freshly encoded sessions before the
-/// fork, so every shard clone inherits the learned clauses the shared
-/// prefix produced.
-const WARM_PREFIX: usize = 4;
-
-/// The per-shard slice of a candidate: everything a worker needs to judge
-/// it, nothing it doesn't (the requirement and matched paths stay on the
-/// merging thread).
-struct ShardItem {
-    idx: usize,
-    term: TermId,
-    label: String,
-    kind: &'static str,
-    governed: bool,
-    needs_necessity: bool,
-}
-
-/// One shard's report back to the merging thread.
-struct ShardReport {
-    shard: usize,
-    verdicts: Vec<(usize, Judgement)>,
-    /// The candidate index at which this shard was interrupted (its later
-    /// candidates are unjudged), and why.
-    interrupt: Option<(usize, Interrupt)>,
-}
-
-/// A shard worker: check the fault site, then judge this shard's
-/// candidates in order on its private cloned checker, stopping the shard
-/// (and only the shard) at the first interrupt.
-#[allow(clippy::too_many_arguments)]
-fn run_shard(
-    shard: usize,
-    items: &[ShardItem],
-    ctx: &mut Ctx,
-    checker: &mut Checker,
-    budget: &Budget,
-    router: &str,
-    stolen: bool,
-    stolen_total: &AtomicU64,
-    tx: &mpsc::Sender<ShardReport>,
-) {
-    let span = netexpl_obs::Span::enter("lift.shard");
-    if span.is_recording() {
-        span.attr("shard", shard);
-        span.attr("router", router.to_string());
-        span.attr("candidates", items.len());
-        span.attr("stolen", stolen);
-    }
-    netexpl_obs::counter_add("lift.shards", 1);
-    if stolen {
-        stolen_total.fetch_add(1, Ordering::Relaxed);
-        netexpl_obs::counter_add("lift.shards_stolen", 1);
-    }
-    let mut report = ShardReport {
-        shard,
-        verdicts: Vec::with_capacity(items.len()),
-        interrupt: None,
-    };
-    if netexpl_faults::triggered(netexpl_faults::sites::LIFT_SHARD) {
-        let i = Interrupt::new(InterruptReason::Fault, "lift.shard");
-        i.record();
-        span.attr("outcome", "poisoned");
-        report.interrupt = items.first().map(|item| (item.idx, i));
-    } else {
-        for item in items {
-            match judge(
-                ctx,
-                checker,
-                budget,
-                item.term,
-                &item.label,
-                item.kind,
-                item.governed,
-                item.needs_necessity,
-            ) {
-                Ok(j) => report.verdicts.push((item.idx, j)),
-                Err(i) => {
-                    report.interrupt = Some((item.idx, i));
-                    break;
-                }
-            }
-        }
-        span.attr(
-            "outcome",
-            if report.interrupt.is_some() {
-                "interrupted"
-            } else {
-                "completed"
-            },
-        );
-    }
-    // The merging thread may have given up on a dead pool; nothing left to
-    // do for this shard either way.
-    let _ = tx.send(report);
-}
-
-/// The sharded candidate loop: warm-up prefix on the main checker, fork a
-/// checker per shard, judge speculatively in parallel, then merge verdicts
-/// under the serial control flow. See the module docs for the determinism
-/// argument.
-fn check_sharded(
-    ctx: &mut Ctx,
-    topo: &Topology,
-    router: RouterId,
-    checker: &mut Checker,
-    candidates: &[Candidate],
-    options: &LiftOptions,
-    workers: usize,
-) -> CheckOutcome {
-    let budget = options.budget.clone();
-    let span = netexpl_obs::Span::enter("lift.parallel");
-    let mut verdicts: Vec<Option<Judgement>> = vec![None; candidates.len()];
-    // (candidate index, interrupt) pairs; the earliest is reported.
-    let mut interrupts: Vec<(usize, Interrupt)> = Vec::new();
-
-    // ---- warm-up prefix -----------------------------------------------------
-    let warm = WARM_PREFIX.min(candidates.len());
-    let mut first_sharded = warm;
-    for (i, cand) in candidates.iter().take(warm).enumerate() {
-        match judge_candidate(ctx, checker, &budget, cand) {
-            Ok(j) => verdicts[i] = Some(j),
-            Err(int) => {
-                // The warm-up degrades like a shard: skip the interrupted
-                // candidate, ship the rest to the shards.
-                interrupts.push((i, int));
-                first_sharded = i + 1;
-                break;
-            }
-        }
-    }
-
-    // ---- fork and fan out ---------------------------------------------------
-    let remaining: Vec<usize> = (first_sharded..candidates.len()).collect();
-    let shards = workers.min(remaining.len());
-    let stolen_total = Arc::new(AtomicU64::new(0));
-    if shards > 0 {
-        let shares = budget.split(shards);
-        let (tx, rx) = mpsc::channel::<ShardReport>();
-        let router_name = topo.name(router).to_string();
-        let mut jobs: Vec<Box<dyn FnOnce(bool) + Send>> = Vec::with_capacity(shards);
-        for (k, share) in shares.into_iter().take(shards).enumerate() {
-            // Round-robin partition: deterministic, balanced, and it keeps
-            // each shard's candidates in (shortest-first) global order.
-            let items: Vec<ShardItem> = remaining
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| j % shards == k)
-                .map(|(_, &idx)| {
-                    let c = &candidates[idx];
-                    ShardItem {
-                        idx,
-                        term: c.term,
-                        label: c.label.clone(),
-                        kind: c.kind_str(),
-                        governed: c.governed(),
-                        needs_necessity: c.needs_necessity(),
-                    }
-                })
-                .collect();
-            let mut shard_ctx = ctx.clone();
-            let mut shard_checker = checker.fork(share.clone());
-            let tx = tx.clone();
-            let stolen_total = stolen_total.clone();
-            let router_name = router_name.clone();
-            jobs.push(Box::new(move |was_stolen: bool| {
-                run_shard(
-                    k,
-                    &items,
-                    &mut shard_ctx,
-                    &mut shard_checker,
-                    &share,
-                    &router_name,
-                    was_stolen,
-                    &stolen_total,
-                    &tx,
-                );
-            }));
-        }
-        drop(tx);
-
-        let mut reports: Vec<Option<ShardReport>> = Vec::with_capacity(shards);
-        reports.resize_with(shards, || None);
-        // The owner always participates: it drains queued tasks (its own
-        // or, under a shared pool, another router's) whenever the queue is
-        // non-empty, and blocks on results only when every queued task is
-        // already running elsewhere — so no executor ever idles while work
-        // is queued, and the blocking recv cannot deadlock.
-        let drain = |pool: &ShardPool, reports: &mut Vec<Option<ShardReport>>| {
-            let mut pending = shards;
-            while pending > 0 {
-                if let Some(task) = pool.try_take() {
-                    pool.run(task);
-                    continue;
-                }
-                match rx.recv() {
-                    Ok(report) => {
-                        let k = report.shard;
-                        reports[k] = Some(report);
-                        pending -= 1;
-                    }
-                    Err(_) => break,
-                }
-            }
-        };
-        match &options.pool {
-            Some(pool) => {
-                for job in jobs {
-                    pool.submit(job);
-                }
-                drain(pool, &mut reports);
-            }
-            None => {
-                // Standalone: a private pool plus shards-1 helper threads;
-                // the current thread is the remaining executor. Helpers
-                // mirror explain_all's workers: each opens a memory-backed
-                // obs session on its own track so shard spans and solver
-                // samples survive thread locality.
-                let pool = ShardPool::new(1);
-                let capture_epoch = netexpl_obs::session_epoch();
-                std::thread::scope(|s| {
-                    let mut handles = Vec::with_capacity(shards - 1);
-                    for t in 0..shards - 1 {
-                        let pool = pool.clone();
-                        handles.push(s.spawn(move || {
-                            let obs = capture_epoch.map(|epoch| {
-                                netexpl_obs::install_memory_worker(epoch, t as u32 + 1)
-                            });
-                            while let Some(task) = pool.steal_wait() {
-                                pool.run(task);
-                            }
-                            obs.map(|(guard, handle)| {
-                                drop(guard);
-                                handle.data()
-                            })
-                        }));
-                    }
-                    for job in jobs {
-                        pool.submit(job);
-                    }
-                    drain(&pool, &mut reports);
-                    pool.producer_done();
-                    for h in handles {
-                        let captured = h.join().expect("lift shard helper panicked");
-                        if let Some(data) = captured {
-                            netexpl_obs::absorb(&data, span.id());
-                        }
-                    }
-                });
-            }
-        }
-
-        for (k, slot) in reports.iter_mut().enumerate() {
-            match slot.take() {
-                Some(report) => {
-                    for (idx, j) in report.verdicts {
-                        verdicts[idx] = Some(j);
-                    }
-                    if let Some((idx, i)) = report.interrupt {
-                        interrupts.push((idx, i));
-                    }
-                }
-                None => {
-                    // The channel died before this shard reported (its job
-                    // was dropped unexecuted) — treat the whole shard as
-                    // interrupted at its first candidate.
-                    if let Some((_, &idx)) =
-                        remaining.iter().enumerate().find(|(j, _)| j % shards == k)
-                    {
-                        let i = Interrupt::new(InterruptReason::Cancelled, "lift.shard");
-                        i.record();
-                        interrupts.push((idx, i));
-                    }
-                }
-            }
-        }
-    }
-
-    // ---- merge: replay the serial control flow over the verdict table ------
-    let mut covered: HashSet<PathKey> = HashSet::new();
-    let mut kept: Vec<(Requirement, TermId)> = Vec::new();
-    let mut rejected: Vec<Requirement> = Vec::new();
-    let mut checked = 0usize;
-    let mut speculative = 0u64;
-    for (i, cand) in candidates.iter().enumerate() {
-        if let CandKind::Forbidden { matched } = &cand.kind {
-            if matched.iter().all(|m| covered.contains(m)) {
-                netexpl_obs::counter_add("lift.templates_pruned", 1);
-                // Its speculative queries (if any) were wasted work — the
-                // price of parallelism, never a change in the answer.
-                if verdicts[i].is_some() {
-                    speculative += 1;
-                }
-                continue;
-            }
-        }
-        // No verdict = the owning shard was interrupted before judging
-        // this candidate: unexamined, so it can never be kept.
-        let Some(j) = verdicts[i] else { continue };
-        checked += 1;
-        match j {
-            Judgement::Trivial | Judgement::Unnecessary => rejected.push(cand.req.clone()),
-            Judgement::Keep => {
-                if let CandKind::Forbidden { matched } = &cand.kind {
-                    covered.extend(matched.iter().cloned());
-                }
-                kept.push((cand.req.clone(), cand.term));
-            }
-        }
-    }
-    if speculative > 0 {
-        netexpl_obs::counter_add("lift.speculative_checks", speculative);
-    }
-    let shards_stolen = stolen_total.load(Ordering::Relaxed);
-    span.attr("shards", shards);
-    span.attr("stolen", shards_stolen);
-    span.attr("checked", checked);
-    let interrupt = interrupts
-        .into_iter()
-        .min_by_key(|(idx, _)| *idx)
-        .map(|(_, i)| i);
-    CheckOutcome {
-        kept,
-        rejected,
-        checked,
-        interrupt,
-        shards,
-        shards_stolen,
     }
 }
 
@@ -1349,32 +745,14 @@ pub fn lift(
 ) -> LiftResult {
     let defs = seed.def_conjunction;
     let reqs = seed.req_conjunction;
-    let budget = options.budget.clone();
     let candidates = enumerate_candidates(ctx, topo, spec, seed, router, &options);
-    let mut checker = Checker::new(ctx, router, defs, reqs, &options);
-
-    let workers = options.effective_workers();
-    let outcome = if workers > 1 && candidates.len() > WARM_PREFIX {
-        check_sharded(
-            ctx,
-            topo,
-            router,
-            &mut checker,
-            &candidates,
-            &options,
-            workers,
-        )
-    } else {
-        check_serial(ctx, &budget, &mut checker, &candidates)
-    };
+    let mut checker = Checker::new(ctx, defs, reqs, &options);
     let CheckOutcome {
         kept,
         rejected,
         checked,
         mut interrupt,
-        shards,
-        shards_stolen,
-    } = outcome;
+    } = check_candidates(ctx, &options.budget, &mut checker, &candidates);
 
     // ---- sufficiency ---------------------------------------------------------
     // An interrupted search cannot claim sufficiency: candidates it never
@@ -1437,12 +815,6 @@ pub fn lift(
     }
 
     netexpl_obs::counter_add("lift.candidate_checks", checked as u64);
-    // Deposit the warm session for the next run over this configuration.
-    if let (Some(store), Some(fp)) = (&options.session_store, options.session_key) {
-        if let Checker::Session { session, .. } = checker {
-            store.deposit((router, fp), defs, reqs, ctx, *session);
-        }
-    }
     let requirements: Vec<Requirement> = kept.into_iter().map(|(r, _)| r).collect();
     LiftResult {
         subspec: SubSpec {
@@ -1454,8 +826,6 @@ pub fn lift(
         rejected,
         provenance,
         interrupt,
-        shards,
-        shards_stolen,
     }
 }
 
@@ -1701,18 +1071,16 @@ mod option_tests {
             incremental: true,
             ..Default::default()
         };
-        let budget = options.budget.clone();
         let candidates = enumerate_candidates(&mut ctx, &topo, &spec, &seed, r1, &options);
         let mut checker = Checker::new(
             &mut ctx,
-            r1,
             seed.def_conjunction,
             seed.req_conjunction,
             &options,
         );
         let first: Vec<Judgement> = candidates
             .iter()
-            .map(|c| judge_candidate(&mut ctx, &mut checker, &budget, c).unwrap())
+            .map(|c| judge(&mut ctx, &mut checker, c).unwrap())
             .collect();
         let unnecessary: Vec<&Candidate> = candidates
             .iter()
@@ -1727,7 +1095,7 @@ mod option_tests {
 
         for cand in unnecessary {
             let (guard, handle) = netexpl_obs::install_memory();
-            let again = judge_candidate(&mut ctx, &mut checker, &budget, cand).unwrap();
+            let again = judge(&mut ctx, &mut checker, cand).unwrap();
             drop(guard);
             assert_eq!(again, Judgement::Unnecessary, "{}", cand.label);
             let metrics = handle.metrics().unwrap();
@@ -1743,7 +1111,7 @@ mod option_tests {
         // Every verdict repeats, whether a witness or a query decides it.
         for (cand, &j) in candidates.iter().zip(&first) {
             assert_eq!(
-                judge_candidate(&mut ctx, &mut checker, &budget, cand).unwrap(),
+                judge(&mut ctx, &mut checker, cand).unwrap(),
                 j,
                 "{}",
                 cand.label
@@ -1807,36 +1175,5 @@ mod option_tests {
         ]);
         assert!(witnesses.admit(&ctx, defs_only));
         assert_eq!(witnesses.refute(&ctx, b), Some(Refuted::Defs));
-    }
-
-    #[test]
-    fn sharded_lift_matches_serial_and_reports_shards() {
-        let (mut ctx, topo, spec, seed, r1) = scenario_seed();
-        let serial = lift(&mut ctx, &topo, &spec, &seed, r1, LiftOptions::default());
-        assert_eq!(serial.shards, 0, "workers=1 is the serial path");
-        for workers in [2, 3] {
-            let sharded = lift(
-                &mut ctx,
-                &topo,
-                &spec,
-                &seed,
-                r1,
-                LiftOptions {
-                    workers,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(sharded.subspec.to_string(), serial.subspec.to_string());
-            assert_eq!(sharded.candidates_checked, serial.candidates_checked);
-            assert_eq!(sharded.rejected, serial.rejected);
-            assert_eq!(sharded.provenance, serial.provenance);
-            assert_eq!(sharded.complete, serial.complete);
-            assert!(sharded.interrupt.is_none());
-            assert!(
-                sharded.shards >= 1 && sharded.shards <= workers,
-                "shards={} workers={workers}",
-                sharded.shards
-            );
-        }
     }
 }

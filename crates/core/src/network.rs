@@ -20,7 +20,8 @@
 //!   explanation without starving its siblings. With `fail_fast`, the
 //!   first *hard* failure (encode error — budget exhaustion is not a
 //!   failure) cancels the shared token and the remaining routers wind down
-//!   to partial results.
+//!   to partial results. This fan-out is the pipeline's only parallelism:
+//!   each router's lift runs serially on its worker.
 //!
 //! Observability: when the caller has an obs session, each worker thread
 //! opens a memory-backed session time-aligned with it (shared epoch, own
@@ -55,7 +56,6 @@ use netexpl_topology::RouterId;
 
 use crate::delta::DeltaProvenance;
 use crate::explain::{explain_cached, ExplainError, ExplainOptions, Explanation};
-use crate::shard::{ProducerGuard, ShardPool};
 use crate::symbolize::Selector;
 
 /// Options for a network-wide explanation run.
@@ -138,13 +138,6 @@ pub struct NetworkExplanation {
     /// True when `fail_fast` cancelled the run before every router
     /// finished cleanly.
     pub cancelled: bool,
-    /// Lift shards submitted to the shared work-stealing pool (`0` when
-    /// the lifter ran serially).
-    pub lift_shards: u64,
-    /// Lift shards executed by a worker other than the one explaining the
-    /// owning router — the measure of how much of a dominant router's lift
-    /// spread across otherwise-idle workers.
-    pub lift_shards_stolen: u64,
 }
 
 impl NetworkExplanation {
@@ -186,13 +179,6 @@ impl fmt::Display for NetworkExplanation {
         )?;
         if self.cancelled {
             writeln!(f, "CANCELLED: a router failed and --fail-fast was set")?;
-        }
-        if self.lift_shards > 0 {
-            writeln!(
-                f,
-                "lift shards: {} submitted, {} stolen by idle workers",
-                self.lift_shards, self.lift_shards_stolen
-            )?;
         }
         for r in &self.routers {
             match &r.outcome {
@@ -301,10 +287,6 @@ pub fn explain_all_cached(
     span.attr("cache_hits", hits);
     span.attr("cache_misses", misses);
     span.attr("wall_ms", wall.as_secs_f64() * 1e3);
-    if run.lift_shards > 0 {
-        span.attr("lift_shards", run.lift_shards);
-        span.attr("lift_shards_stolen", run.lift_shards_stolen);
-    }
 
     Ok(NetworkExplanation {
         routers: reports,
@@ -314,8 +296,6 @@ pub fn explain_all_cached(
         cache_hits: hits,
         cache_misses: misses,
         cancelled: options.fail_fast && any_failed,
-        lift_shards: run.lift_shards,
-        lift_shards_stolen: run.lift_shards_stolen,
     })
 }
 
@@ -327,17 +307,13 @@ pub(crate) struct SubsetRun {
     pub workers: usize,
     /// Wall-clock duration of the fan-out.
     pub wall: Duration,
-    /// Lift shards submitted to the shared pool.
-    pub lift_shards: u64,
-    /// Lift shards stolen by idle workers.
-    pub lift_shards_stolen: u64,
 }
 
 /// The worker fan-out shared by [`explain_all_cached`] and the delta
 /// engine: explain exactly the routers in `routers` (any subset of the
 /// topology, e.g. a delta run's dirty set), in parallel, against the
-/// shared cache. Budget splitting, fail-fast cancellation, shard-pool
-/// work-stealing, and worker-obs replay behave exactly as on a full run.
+/// shared cache. Budget splitting, fail-fast cancellation, and worker-obs
+/// replay behave exactly as on a full run.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_routers(
     ctx: &mut Ctx,
@@ -369,14 +345,6 @@ pub(crate) fn run_routers(
     let cache_ref = &cache;
     let explain_opts = &options.explain;
     let fail_fast = options.fail_fast;
-    // With a sharded lifter, all workers share one work-stealing pool:
-    // each router's lift submits its shards there, and a worker whose
-    // router queue has drained steals shards from still-running lifts
-    // instead of parking. Every worker is a producer until its router loop
-    // ends; the pool closes when the last one finishes, releasing stealers.
-    let shard_pool: Option<std::sync::Arc<ShardPool>> = (workers > 1
-        && options.explain.lift.effective_workers() > 1)
-        .then(|| ShardPool::new(workers));
     // Workers run on fresh threads with no obs session of their own. When
     // the caller has one, each worker opens a memory-backed session sharing
     // our epoch (so timestamps align) on its own track, and hands the
@@ -394,14 +362,9 @@ pub(crate) fn run_routers(
             let next = &next;
             let routers = &routers;
             let token = &token;
-            let pool = shard_pool.clone();
             handles.push(s.spawn(move || {
                 let obs = capture_epoch
                     .map(|epoch| netexpl_obs::install_memory_worker(epoch, track as u32 + 1));
-                // Dropped after the router loop: this worker will submit no
-                // further shards, and (via the guard, even on panic) the
-                // pool must not keep stealers waiting on its account.
-                let producing = pool.clone().map(ProducerGuard::new);
                 let mut done: Vec<(usize, RouterOutcome, Duration)> = Vec::new();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -412,7 +375,6 @@ pub(crate) fn run_routers(
                     let mut worker_ctx = base.clone();
                     let mut opts = explain_opts.clone();
                     opts.budget = share.clone();
-                    opts.lift.pool = pool.clone();
                     let outcome = match explain_cached(
                         &mut worker_ctx,
                         topo,
@@ -435,14 +397,6 @@ pub(crate) fn run_routers(
                         }
                     };
                     done.push((i, outcome, t0.elapsed()));
-                }
-                drop(producing);
-                if let Some(pool) = &pool {
-                    // Out of routers: steal lift shards from the routers
-                    // still running elsewhere until every producer is done.
-                    while let Some(task) = pool.steal_wait() {
-                        pool.run(task);
-                    }
                 }
                 let captured = obs.map(|(guard, handle)| {
                     drop(guard); // flush worker metrics into the handle
@@ -472,16 +426,10 @@ pub(crate) fn run_routers(
             slot.expect("router left unprocessed")
         })
         .collect();
-    let (lift_shards, lift_shards_stolen) = shard_pool
-        .as_ref()
-        .map(|p| (p.submitted(), p.stolen()))
-        .unwrap_or((0, 0));
     SubsetRun {
         outcomes,
         workers,
         wall,
-        lift_shards,
-        lift_shards_stolen,
     }
 }
 
@@ -628,54 +576,6 @@ mod tests {
                     assert_eq!(report.outcome.status(), "skipped");
                 }
                 Err(e) => panic!("direct explain failed: {e}"),
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_lift_over_shared_pool_matches_serial() {
-        let serial = run(1);
-        let (topo, _h, net, spec) = scenario1();
-        let vocab = Vocabulary::new(&topo, vec![], vec![100], net.prefixes());
-        let mut ctx = Ctx::new();
-        let sorts = vocab.sorts(&mut ctx);
-        let sharded = explain_all(
-            &mut ctx,
-            &topo,
-            &vocab,
-            sorts,
-            &net,
-            &spec,
-            &Selector::Router,
-            ExplainAllOptions {
-                workers: 3,
-                explain: crate::explain::ExplainOptions {
-                    lift: crate::lift::LiftOptions {
-                        workers: 4,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(serial.lift_shards, 0, "serial run uses no pool");
-        assert!(
-            sharded.lift_shards > 0,
-            "sharded lifts must go through the pool"
-        );
-        for (a, b) in serial.routers.iter().zip(&sharded.routers) {
-            assert_eq!(a.router, b.router);
-            assert_eq!(a.outcome.status(), b.outcome.status());
-            if let (Some(ea), Some(eb)) = (a.outcome.explanation(), b.outcome.explanation()) {
-                assert_eq!(ea.subspec.to_string(), eb.subspec.to_string());
-                assert_eq!(
-                    ea.lift_candidates_checked, eb.lift_candidates_checked,
-                    "{}",
-                    a.router
-                );
-                assert_eq!(ea.provenance, eb.provenance);
             }
         }
     }

@@ -42,11 +42,6 @@ pub mod sites {
     pub const SIMPLIFY_PASS: &str = "simplify.pass";
     /// Interrupt the lifter's candidate entailment checks.
     pub const LIFT_CANDIDATE: &str = "lift.candidate";
-    /// Poison one shard of the parallel lifter at pickup: that shard's
-    /// candidates report a typed interrupt while sibling shards complete,
-    /// and the merged result stays sound (kept entries were verified).
-    /// Off-path when the lifter runs serially (`--lift-workers 1`).
-    pub const LIFT_SHARD: &str = "lift.shard";
     /// Interrupt an incremental solver session between queries: the
     /// in-flight query reports `Unknown`, previously returned answers stay
     /// valid, and the session remains usable once disarmed.
@@ -74,7 +69,6 @@ pub mod sites {
         SEED_ENCODE,
         SIMPLIFY_PASS,
         LIFT_CANDIDATE,
-        LIFT_SHARD,
         SESSION_QUERY,
         SERVE_ACCEPT,
         SERVE_DECODE,

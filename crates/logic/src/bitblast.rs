@@ -21,7 +21,7 @@ use crate::sort::Sort;
 use crate::term::{Ctx, TermId, TermNode, VarId};
 
 /// Bit-level encoding state for enum and int variables.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct BitBlaster {
     /// One-hot indicator booleans per enum variable.
     enum_bits: HashMap<VarId, Vec<TermId>>,

@@ -46,7 +46,7 @@ impl ELit {
 
 /// Incremental Tseitin encoder. Multiple roots can be encoded into the same
 /// CNF (sharing definitions), then each asserted or used as an assumption.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct CnfBuilder {
     cnf: Cnf,
     memo: HashMap<TermId, ELit>,

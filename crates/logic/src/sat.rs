@@ -163,13 +163,7 @@ struct ClauseInfo {
 const DEFAULT_REDUCE_THRESHOLD: usize = 2000;
 
 /// The CDCL solver.
-///
-/// `Clone` duplicates the full solver state — clause database (original
-/// *and* learned clauses), watches, VSIDS activity, saved polarities —
-/// which is what lets a warmed-up solver be forked onto worker threads:
-/// each clone keeps answering independently from the shared prefix's
-/// learned state, and divergence after the fork never flows back.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SatSolver {
     num_vars: usize,
     /// Clause database. Indices are stable between [`SatSolver::reduce_db`]

@@ -122,12 +122,6 @@ pub struct ProfileReport {
     pub cache_hits: u64,
     /// See `cache_hits`.
     pub cache_misses: u64,
-    /// Parallel-lift shards executed (`lift.shards` counter; 0 = serial
-    /// lifter).
-    pub lift_shards: u64,
-    /// Shards run by a worker other than their submitting router's
-    /// (`lift.shards_stolen` counter).
-    pub lift_shards_stolen: u64,
     /// p50/p95/p99 for the key per-span latency histograms.
     pub quantiles: Vec<QuantileRow>,
 }
@@ -307,18 +301,15 @@ pub fn analyze(data: &MemoryData, top_k: usize) -> ProfileReport {
         .collect();
 
     let (mut cache_hits, mut cache_misses) = (0, 0);
-    let (mut lift_shards, mut lift_shards_stolen) = (0, 0);
     let mut quantiles = Vec::new();
     if let Some(metrics) = &data.metrics {
         cache_hits = metrics.counter("cache.hit");
         cache_misses = metrics.counter("cache.miss");
-        lift_shards = metrics.counter("lift.shards");
-        lift_shards_stolen = metrics.counter("lift.shards_stolen");
         for name in [
             "span.explain.ms",
             "span.lift.ms",
             "span.lift.candidate.ms",
-            "span.lift.shard.ms",
+            "span.session.assert.ms",
             "span.session.query.ms",
             "span.smt.check.ms",
             "span.simplify.ms",
@@ -351,8 +342,6 @@ pub fn analyze(data: &MemoryData, top_k: usize) -> ProfileReport {
         candidate_outcomes,
         cache_hits,
         cache_misses,
-        lift_shards,
-        lift_shards_stolen,
         quantiles,
     }
 }
@@ -482,15 +471,6 @@ impl fmt::Display for ProfileReport {
                 f,
                 "encode cache: {} hits / {} misses ({rate:.0}% hit rate)",
                 self.cache_hits, self.cache_misses
-            )?;
-            writeln!(f)?;
-        }
-
-        if self.lift_shards > 0 {
-            writeln!(
-                f,
-                "parallel lift: {} shard(s), {} stolen by idle workers",
-                self.lift_shards, self.lift_shards_stolen
             )?;
             writeln!(f)?;
         }

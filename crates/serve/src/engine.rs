@@ -14,7 +14,7 @@ use netexpl_bgp::fingerprint_config;
 use netexpl_core::symbolize::Selector;
 use netexpl_core::{
     explain_all_cached, explain_cached, parse_problem, synthesize_problem, topology_by_name, Error,
-    ExplainAllOptions, ExplainOptions, Explanation, LiftSessionStore, RouterOutcome,
+    ExplainAllOptions, ExplainOptions, Explanation, RouterOutcome,
 };
 use netexpl_lint::lint_network;
 use netexpl_logic::budget::{Budget, CancelToken};
@@ -200,7 +200,6 @@ impl Engine {
                 cache,
                 fingerprint,
                 fingerprints,
-                lift_sessions: LiftSessionStore::new(),
             },
         );
         Ok((session, false))
@@ -246,7 +245,6 @@ impl Engine {
                 cache,
                 fingerprint,
                 fingerprints,
-                lift_sessions: LiftSessionStore::new(),
             },
         ))
     }
@@ -334,14 +332,6 @@ impl Engine {
         self.pool.len()
     }
 
-    /// Surface this request's warm-lift-session reuse in the metrics.
-    fn publish_lift_session_hits(&self, session: &Session, hits_before: u64) {
-        let hits = session.lift_sessions.hits().saturating_sub(hits_before);
-        if hits > 0 {
-            self.metrics.counter_add("serve.lift.session_hits", hits);
-        }
-    }
-
     fn explain(
         &self,
         session: &Session,
@@ -353,18 +343,11 @@ impl Engine {
         // The pooled base context stays pristine; each request extends a
         // clone (term ids survive cloning — the arena is append-only).
         let mut ctx = session.ctx.clone();
-        let mut explain_opts = ExplainOptions {
+        let explain_opts = ExplainOptions {
             skip_lift,
             budget,
             ..Default::default()
         };
-        // Lifting requests on the same pooled session share warm solver
-        // sessions: every request context is a clone of the same base
-        // arena, so deposited term ids replay (the store validates them
-        // before reuse). Scoped by the exact config fingerprint.
-        explain_opts.lift.session_store = Some(Arc::clone(&session.lift_sessions));
-        explain_opts.lift.session_key = Some(session.fingerprints.exact);
-        let lift_hits_before = session.lift_sessions.hits();
         let selector = Selector::Router;
         if let Some(name) = router {
             let rid = session
@@ -384,7 +367,6 @@ impl Engine {
                 Some(&session.cache),
             )
             .map_err(Error::Explain)?;
-            self.publish_lift_session_hits(session, lift_hits_before);
             return Ok(explanation_json(&e));
         }
         let all = explain_all_cached(
@@ -403,7 +385,6 @@ impl Engine {
             &session.cache,
         )
         .map_err(Error::Explain)?;
-        self.publish_lift_session_hits(session, lift_hits_before);
         let routers: Vec<Value> = all
             .routers
             .iter()

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use netexpl_bgp::{fingerprint_config, FingerprintVector, NetworkConfig};
-use netexpl_core::{Error, LiftSessionStore, Problem};
+use netexpl_core::{Error, Problem};
 use netexpl_logic::term::Ctx;
 use netexpl_obs::SharedMetrics;
 use netexpl_synth::encode::{config_fingerprint, EncodeCache};
@@ -85,10 +85,6 @@ pub struct Session {
     /// entry is salvaged by delta-patching its cache) or environmental
     /// (the entry is retired outright).
     pub fingerprints: FingerprintVector,
-    /// Warm lift solver sessions deposited by requests on this session;
-    /// repeat lifting explains reuse them instead of re-deriving the
-    /// solver state from scratch.
-    pub lift_sessions: Arc<LiftSessionStore>,
 }
 
 impl Session {
@@ -292,7 +288,6 @@ pub(crate) mod testutil {
             cache,
             fingerprint,
             fingerprints,
-            lift_sessions: LiftSessionStore::new(),
         }
     }
 

@@ -5,10 +5,6 @@
 //! with a from-scratch `explain_all` of the edited configuration on every
 //! semantic artifact: per-router status, subspecification, sufficiency,
 //! and stage verdicts. Reuse is an optimization; any divergence is a bug.
-//!
-//! The delta leg threads a [`LiftSessionStore`], so the suite also
-//! exercises the store's re-scoping and deposit paths under random edits
-//! at both worker counts.
 
 mod common;
 
@@ -17,8 +13,7 @@ use common::{customer_prefix, permit_all};
 use netexpl_bgp::{Action, NetworkConfig, RouteMap, SetClause};
 use netexpl_core::lift::LiftOptions;
 use netexpl_core::{
-    explain_all, explain_all_cached, explain_delta, ExplainAllOptions, ExplainError,
-    ExplainOptions, LiftSessionStore,
+    explain_all, explain_all_cached, explain_delta, ExplainAllOptions, ExplainError, ExplainOptions,
 };
 use netexpl_logic::term::Ctx;
 use netexpl_synth::encode::{EncodeCache, EncodeOptions};
@@ -199,11 +194,9 @@ proptest! {
             }
         };
 
-        let mut delta_opts = run_options(workers);
-        delta_opts.explain.lift.session_store = Some(LiftSessionStore::new());
         let delta = explain_delta(
             &mut ctx, &topo, &vocab, sorts, &net, &edited, &spec, &selector,
-            delta_opts, prior, &cache,
+            run_options(workers), prior, &cache,
         );
 
         let mut scratch_ctx = Ctx::new();

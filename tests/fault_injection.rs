@@ -132,129 +132,6 @@ fn every_site_degrades_explain_gracefully() {
     assert_eq!(fired, expected, "sites that fired");
 }
 
-/// A poisoned lift shard (`lift.shard`, armed for exactly one shot) must
-/// degrade *one* shard to a typed `Fault` interrupt while its siblings
-/// complete and their verdicts merge: the result is a sound partial
-/// answer — no verdict may contradict the unfaulted serial baseline —
-/// reported as incomplete, never a panic.
-#[test]
-fn poisoned_lift_shard_degrades_one_shard_soundly() {
-    use netexpl_core::symbolize::symbolize;
-    use netexpl_core::{lift, seed_spec, LiftOptions, LiftResult};
-    use netexpl_obs::AttrValue;
-    use netexpl_synth::encode::EncodeOptions;
-
-    // `arm_shots` takes no serialization guard of its own; hold the
-    // cross-test lock so the parallel fault-matrix tests cannot race.
-    let _serial = netexpl_faults::test_lock();
-
-    let run = |workers: usize| -> LiftResult {
-        let (topo, h, net, spec) = scenario3();
-        let spec = only_blocks(&spec, &["Req1"]);
-        let vocab = paper_vocab(&topo, net.prefixes());
-        let mut ctx = Ctx::new();
-        let sorts = vocab.sorts(&mut ctx);
-        let factory = HoleFactory::new(&vocab, sorts);
-        let (sym, _table) = symbolize(
-            &mut ctx,
-            &factory,
-            &topo,
-            &net,
-            h.r2,
-            &Selector::Session {
-                neighbor: h.p2,
-                dir: Dir::Export,
-            },
-        );
-        let seed = seed_spec(
-            &mut ctx,
-            &topo,
-            &vocab,
-            sorts,
-            &sym,
-            &spec,
-            EncodeOptions {
-                max_path_len: topo.num_routers(),
-            },
-        )
-        .expect("paper example seed");
-        lift(
-            &mut ctx,
-            &topo,
-            &spec,
-            &seed,
-            h.r2,
-            LiftOptions {
-                workers,
-                ..Default::default()
-            },
-        )
-    };
-
-    let baseline = run(1);
-    assert!(
-        baseline.interrupt.is_none(),
-        "unfaulted baseline interrupted"
-    );
-
-    let (guard, handle) = netexpl_obs::install_memory();
-    netexpl_faults::arm_shots(netexpl_faults::sites::LIFT_SHARD, 1);
-    let faulted = run(4);
-    // The single shot is consumed by the first shard; disarm defensively
-    // in case a regression kept the lift off the sharded path entirely.
-    netexpl_faults::arm_shots(netexpl_faults::sites::LIFT_SHARD, 0);
-    drop(guard);
-
-    assert!(faulted.shards >= 2, "paper example must shard at 4 workers");
-    let interrupt = faulted
-        .interrupt
-        .expect("poisoned shard must surface a typed interrupt");
-    assert_eq!(interrupt.reason, InterruptReason::Fault);
-    assert_eq!(interrupt.at, "lift.shard");
-    assert!(!faulted.complete, "a poisoned shard costs completeness");
-
-    // Exactly one shard was poisoned; every sibling ran to completion.
-    let outcomes: Vec<String> = handle
-        .spans_named("lift.shard")
-        .iter()
-        .filter_map(|s| {
-            s.attrs.iter().find_map(|(k, v)| match (k, v) {
-                (&"outcome", AttrValue::Str(o)) => Some(o.clone()),
-                _ => None,
-            })
-        })
-        .collect();
-    assert_eq!(outcomes.len(), faulted.shards, "{outcomes:?}");
-    assert_eq!(
-        outcomes.iter().filter(|o| *o == "poisoned").count(),
-        1,
-        "{outcomes:?}"
-    );
-    assert_eq!(
-        outcomes.iter().filter(|o| *o == "completed").count(),
-        faulted.shards - 1,
-        "{outcomes:?}"
-    );
-
-    // Sound partial: the merge consumed the siblings' verdicts, and no
-    // verdict contradicts the baseline (verdicts are facts about the
-    // seed; skipping the poisoned shard's candidates changes coverage
-    // filtering, so the kept *set* may differ — the verdicts may not).
-    assert!(faulted.candidates_checked > 0);
-    for req in &faulted.subspec.requirements {
-        assert!(
-            !baseline.rejected.contains(req),
-            "faulted lift kept a requirement the baseline rejected: {req:?}"
-        );
-    }
-    for req in &baseline.subspec.requirements {
-        assert!(
-            !faulted.rejected.contains(req),
-            "faulted lift rejected a requirement the baseline kept: {req:?}"
-        );
-    }
-}
-
 /// Mid-session fault injection: arming `session.query` between queries of
 /// a live [`SmtSession`] must degrade only the in-flight query to
 /// `Unknown(Fault)`. Answers produced before the fault stay valid, and the
