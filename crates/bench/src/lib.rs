@@ -1,10 +1,7 @@
-//! Shared workloads for the benchmark harness: the paper's three scenarios
+//! Shared workloads for the experiments: the paper's three scenarios
 //! (exactly as in the integration tests) and parameterized scaling
 //! workloads. Every experiment row in EXPERIMENTS.md is produced from the
-//! builders here, by either the Criterion benches or the `tables` binary.
-
-pub mod compare;
-pub mod report;
+//! builders here by the `tables` binary.
 
 use netexpl_bgp::{
     Action, Community, MatchClause, NetworkConfig, RouteMap, RouteMapEntry, SetClause,

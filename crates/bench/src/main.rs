@@ -15,10 +15,14 @@ use netexpl_core::symbolize::{Dir, Field, Selector};
 use netexpl_core::{explain, seed_spec, ExplainOptions};
 use netexpl_logic::sat::{Lit, SatSolver};
 use netexpl_logic::simplify::{RuleMask, Simplifier};
-use netexpl_logic::term::Ctx;
+use netexpl_logic::solver::SmtSolver;
+use netexpl_logic::term::{Ctx, TermId};
 use netexpl_synth::encode::EncodeOptions;
 use netexpl_synth::sketch::HoleFactory;
 use netexpl_synth::synthesize::{default_sketch, synthesize, SynthOptions};
+use netexpl_topology::builders::PaperTopology;
+use netexpl_topology::RouterId;
+use rand::{Rng, SeedableRng};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,6 +61,42 @@ fn header(id: &str, what: &str) {
     println!("\n================================================================");
     println!("{id}: {what}");
     println!("================================================================");
+}
+
+/// Median wall time of `reps` runs of `f`, in milliseconds — for the rows
+/// whose single run is too short to time on its own.
+fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut ms: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64() * 1000.0
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms[reps / 2]
+}
+
+/// Scenario 3's conjoined seed specification with the router `pick`
+/// chooses symbolized router-wide.
+fn scenario3_seed(ctx: &mut Ctx, pick: impl Fn(&PaperTopology) -> RouterId) -> TermId {
+    let (topo, h, net, spec) = scenario3();
+    let vocab = paper_vocab(&topo, net.prefixes());
+    let sorts = vocab.sorts(ctx);
+    let factory = HoleFactory::new(&vocab, sorts);
+    let (sym, _table) =
+        netexpl_core::symbolize(ctx, &factory, &topo, &net, pick(&h), &Selector::Router);
+    let seed = seed_spec(
+        ctx,
+        &topo,
+        &vocab,
+        sorts,
+        &sym,
+        &spec,
+        EncodeOptions::default(),
+    )
+    .unwrap();
+    seed.conjunction(ctx)
 }
 
 // ---------------------------------------------------------------------------
@@ -454,10 +494,26 @@ fn table_e4() {
             expl.rule_stats.total()
         );
     }
-    // Memoization ablation (✦): identical output, different cost — the
-    // timing comparison lives in `benches/rule_ablation.rs`
-    // (`all` vs `all_no_memo`).
-    println!("(memoization ablation: see `cargo bench -p netexpl-bench --bench rule_ablation`)");
+    // Memoization ablation (✦): the full rule set with and without the
+    // hash-consed memo table — identical output, different cost.
+    let mut ctx = Ctx::new();
+    let conj = scenario3_seed(&mut ctx, |h| h.r2);
+    let with_memo = Simplifier::default().simplify(&mut ctx, conj);
+    let without_memo = Simplifier::default()
+        .without_memo()
+        .simplify(&mut ctx, conj);
+    assert_eq!(with_memo, without_memo, "memoization changed the output");
+    let memo_ms = median_ms(21, || {
+        Simplifier::default().simplify(&mut ctx, conj);
+    });
+    let no_memo_ms = median_ms(21, || {
+        Simplifier::default()
+            .without_memo()
+            .simplify(&mut ctx, conj);
+    });
+    println!("\n{:<22} {:>14}", "memoization", "simplify ms");
+    println!("{:<22} {:>14.2}", "memo (default)", memo_ms);
+    println!("{:<22} {:>14.2}", "no memo", no_memo_ms);
 }
 
 fn table_e5() {
@@ -507,6 +563,55 @@ fn table_e5() {
             pigeons, holes, cdcl_ms, dpll_ms
         );
     }
+    // Random 3-SAT at the phase transition (clause/variable ratio 4.26),
+    // the regime closest to the synthesis encodings; plain DPLL only at
+    // the smaller size.
+    for n in [40usize, 60] {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0FFEE);
+        let clauses: Vec<Vec<Lit>> = (0..(n as f64 * 4.26) as usize)
+            .map(|_| {
+                (0..3)
+                    .map(|_| Lit::with_polarity(rng.gen_range(0..n), rng.gen_bool(0.5)))
+                    .collect()
+            })
+            .collect();
+        let cdcl = || {
+            let mut s = SatSolver::new();
+            for _ in 0..n {
+                s.new_var();
+            }
+            clauses.iter().all(|c| s.add_clause(c)) && s.solve().is_sat()
+        };
+        let sat = cdcl();
+        let cdcl_ms = median_ms(21, || {
+            cdcl();
+        });
+        let dpll_ms = if n <= 40 {
+            assert_eq!(netexpl_logic::dpll::solve(n, &clauses).is_sat(), sat);
+            median_ms(21, || {
+                netexpl_logic::dpll::solve(n, &clauses);
+            })
+        } else {
+            f64::NAN // plain DPLL is measured at n=40 only
+        };
+        println!(
+            "{:<10} {:>12.2} {:>12.2}",
+            format!("3-SAT n={n}"),
+            cdcl_ms,
+            dpll_ms
+        );
+    }
+    // A real workload: the full SMT pipeline (bit-blast, Tseitin, CDCL)
+    // deciding scenario 3's seed specification at R3.
+    let mut ctx = Ctx::new();
+    let conj = scenario3_seed(&mut ctx, |h| h.r3);
+    let mut solver = SmtSolver::new();
+    solver.assert(conj);
+    assert!(solver.check(&mut ctx).is_sat());
+    let smt_ms = median_ms(5, || {
+        solver.check(&mut ctx);
+    });
+    println!("{:<10} {:>12.2} {:>12.2}", "S3 seed", smt_ms, f64::NAN);
 }
 
 fn table_e6() {
@@ -533,7 +638,7 @@ fn table_e6() {
             let factory = HoleFactory::new(&vocab, sorts);
             let sketch = default_sketch(&mut ctx, &topo, &factory, &base);
             let t0 = Instant::now();
-            let Ok(result) = synthesize(
+            let result = match synthesize(
                 &mut ctx,
                 &topo,
                 &vocab,
@@ -541,8 +646,16 @@ fn table_e6() {
                 &sketch,
                 &spec,
                 SynthOptions::default(),
-            ) else {
-                continue;
+            ) {
+                Ok(result) => result,
+                Err(e) => {
+                    println!(
+                        "{:<10} {:>8}  synthesis failed: {e}",
+                        format!("{kind}:{n}"),
+                        topo.num_routers()
+                    );
+                    continue;
+                }
             };
             let ms = t0.elapsed().as_secs_f64() * 1000.0;
             println!(

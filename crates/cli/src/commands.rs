@@ -724,76 +724,6 @@ pub fn profile(args: &[String]) -> Result<(), Error> {
     Ok(())
 }
 
-/// `netexpl bench` — run the explain pipeline over the paper's three
-/// scenarios under an in-memory obs session and write the per-scenario
-/// stage timings, sizes, and solver counters as a JSON report. With
-/// `--json` the report goes to stdout instead of a file, so scripts can
-/// pipe it without a temp file.
-///
-/// With `--compare <OLD>` the command becomes a regression gate instead:
-/// it diffs a new report (freshly measured, or read from `--in <FILE>`)
-/// against the old baseline and exits non-zero (NX701) when any timing
-/// section grew beyond `--threshold <PCT>` (default 25).
-pub fn bench(args: &[String]) -> Result<(), Error> {
-    let opts = Options::parse(args, &["json"]).map_err(usage)?;
-    let budget = parse_budget(&opts)?;
-    if let Some(old_path) = opts.get("compare") {
-        return bench_compare(&opts, old_path, budget);
-    }
-    if opts.flag("json") {
-        let report =
-            netexpl_bench::report::explain_report_with(&budget).map_err(|e| Error::Io {
-                path: "<stdout>".to_string(),
-                source: std::io::Error::other(e),
-            })?;
-        println!("{}", serde_json::to_string_pretty(&report));
-        return Ok(());
-    }
-    let out = opts.get("out").unwrap_or("BENCH_explain.json");
-    netexpl_bench::report::write_report_with(out, budget).map_err(|e| Error::Io {
-        path: out.to_string(),
-        source: std::io::Error::other(e),
-    })?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-/// The `--compare` arm of [`bench`]: diff a new report against the
-/// baseline at `old_path` and fail on regressions beyond the threshold.
-fn bench_compare(opts: &Options, old_path: &str, budget: Budget) -> Result<(), Error> {
-    let threshold: f64 = match opts.get("threshold") {
-        None => 25.0,
-        Some(t) => t
-            .parse()
-            .ok()
-            .filter(|p: &f64| p.is_finite() && *p >= 0.0)
-            .ok_or_else(|| usage(format!("--threshold takes non-negative percent, not `{t}`")))?,
-    };
-    let read_report = |path: &str| -> Result<Value, Error> {
-        let text = std::fs::read_to_string(path).map_err(|e| Error::Io {
-            path: path.to_string(),
-            source: e,
-        })?;
-        serde_json::from_str(&text).map_err(|e| usage(format!("{path}: invalid JSON: {e}")))
-    };
-    let old = read_report(old_path)?;
-    let new = match opts.get("in") {
-        Some(path) => read_report(path)?,
-        // No --in: measure a fresh report right now, same as plain `bench`.
-        None => netexpl_bench::report::explain_report_with(&budget).map_err(|e| Error::Io {
-            path: "<bench>".to_string(),
-            source: std::io::Error::other(e),
-        })?,
-    };
-    let cmp = netexpl_bench::compare::compare_reports(&old, &new, threshold);
-    print!("{}", netexpl_bench::compare::render(&cmp, threshold));
-    let regressions = cmp.regressions().len();
-    if regressions > 0 {
-        return Err(Error::BenchRegression { regressions });
-    }
-    Ok(())
-}
-
 /// `netexpl diff` — incremental re-explanation across a configuration
 /// edit: `netexpl diff --topology <T> --spec <FILE> <OLD> <NEW>` loads two
 /// rendered configurations (as written by `netexpl synth`, plus optional

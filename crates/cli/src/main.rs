@@ -13,8 +13,6 @@
 //! netexpl scenario <1|2|3>
 //! netexpl profile  --topology paper --spec spec.txt (--router R1 | --all | --lint) \
 //!                  [--top K] [--trace-out trace.json]
-//! netexpl bench    [--out BENCH_explain.json] [--json]
-//! netexpl bench    --compare old.json [--in new.json] [--threshold PCT]
 //! netexpl obs-check --trace-file trace.jsonl [--metrics-file metrics.json]
 //! ```
 //!
@@ -83,7 +81,6 @@ fn run(args: &[String]) -> Result<(), Error> {
         "simulate" => commands::simulate(rest),
         "scenario" => commands::scenario(rest),
         "profile" => commands::profile(rest),
-        "bench" => commands::bench(rest),
         "obs-check" => commands::obs_check(rest),
         "serve" => serve_cmd::serve(rest),
         "request" => serve_cmd::request(rest),
@@ -136,11 +133,6 @@ fn print_usage() {
                             router/stage, hot SAT queries by originating lift\n\
                             template or lint diagnostic, cache hits, quantiles;\n\
                             --trace-out also writes Chrome trace JSON)\n\
-           netexpl bench    [--out <FILE>] [--json]   (default BENCH_explain.json)\n\
-           netexpl bench    --compare <OLD> [--in <NEW>] [--threshold <PCT>]\n\
-                            (regression gate: diff a new report — freshly measured,\n\
-                            or --in <NEW> — against the <OLD> baseline; exit NX701\n\
-                            if a timing section grew beyond the threshold, default 25%)\n\
            netexpl obs-check --trace-file <FILE> [--metrics-file <FILE>]\n\
            netexpl serve    [--addr <HOST:PORT>] [--workers <N>] [--queue <N>]\n\
                             [--pool <N>] [--default-timeout <SECS>]\n\
@@ -168,7 +160,7 @@ fn print_usage() {
            --config <FILE>        work on this rendered configuration (the\n\
                                   `diff` format) instead of synthesizing one\n\
          \n\
-         RESOURCE BUDGETS (synth, explain, bench):\n\
+         RESOURCE BUDGETS (synth, explain):\n\
            --timeout <SECS>       wall-clock deadline for solver/explain work\n\
            --max-conflicts <N>    cap on CDCL conflicts per solver call\n\
            synth fails with NX501 when interrupted; explain degrades to a\n\

@@ -321,61 +321,6 @@ fn explain_trace_json_emits_one_span_per_pipeline_stage() {
 }
 
 #[test]
-fn bench_writes_scenario_report() {
-    let mut out_path = std::env::temp_dir();
-    out_path.push(format!(
-        "netexpl-test-{}-BENCH_explain.json",
-        std::process::id()
-    ));
-    // A per-call deadline keeps the debug-profile run quick; interrupted
-    // cases degrade to partial results instead of failing the report.
-    let out = netexpl()
-        .args([
-            "bench",
-            "--out",
-            out_path.to_str().unwrap(),
-            "--timeout",
-            "20",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = std::fs::read_to_string(&out_path).expect("report written");
-    let v: serde_json::Value = serde_json::from_str(&text).expect("valid json");
-    let scenarios = v["scenarios"].as_array().expect("scenarios array");
-    assert_eq!(scenarios.len(), 3, "{text}");
-    for run in scenarios {
-        assert!(run["stage_ms"]["simplify"].as_f64().is_some(), "{run}");
-        // Session-backed runs count `session.queries`, the fresh-solver
-        // fallback counts `smt.queries`; either way the solver was busy.
-        let queries = run["counters"]["smt.queries"].as_u64().unwrap_or(0)
-            + run["counters"]["session.queries"].as_u64().unwrap_or(0);
-        assert!(queries > 0, "{run}");
-    }
-    // The network-wide section records both runs and the speedup.
-    let network = &v["network"];
-    assert_eq!(network["sequential"].as_array().unwrap().len(), 6, "{text}");
-    assert_eq!(network["parallel"].as_array().unwrap().len(), 6, "{text}");
-    assert!(network["speedup"].as_f64().is_some(), "{text}");
-    assert!(network["cache_hits"].as_u64().unwrap() > 0, "{text}");
-    assert_eq!(network["workers_requested"].as_u64(), Some(4), "{text}");
-    // The lift section compares fresh vs incremental solver backends.
-    let lift = &v["lift"];
-    assert!(lift["fresh_ms"].as_f64().is_some(), "{text}");
-    assert!(lift["incremental_ms"].as_f64().is_some(), "{text}");
-    assert!(lift["speedup"].as_f64().is_some(), "{text}");
-    assert_eq!(
-        lift["subspec_agrees"],
-        serde_json::Value::Bool(true),
-        "{text}"
-    );
-}
-
-#[test]
 fn explain_all_json_golden() {
     // Golden shape of the `--all --json` aggregate: every router of the
     // paper topology reported with a status, explained routers carrying
@@ -724,78 +669,6 @@ fn unknown_fault_sites_are_rejected() {
         assert!(stderr.contains("error[NX001]"), "{site}: {stderr}");
         assert!(stderr.contains(site), "{site}: {stderr}");
     }
-}
-
-#[test]
-fn bench_compare_gates_on_regressions() {
-    let dir = std::env::temp_dir();
-    let old = dir.join(format!(
-        "netexpl-test-{}-bench-old.json",
-        std::process::id()
-    ));
-    let new = dir.join(format!(
-        "netexpl-test-{}-bench-new.json",
-        std::process::id()
-    ));
-    let baseline = r#"{
-      "scenarios": [{"scenario": "scenario1", "stage_ms": {"explain": 10.0, "lift": 8.0}}],
-      "network": {"sequential_ms": 50.0, "parallel_ms": 40.0},
-      "lift": {"fresh_ms": 30.0, "incremental_ms": 12.0},
-      "lint_network": {"wall_ms": 20.0}
-    }"#;
-    std::fs::write(&old, baseline).unwrap();
-    std::fs::write(&new, baseline.replace("\"lift\": 8.0", "\"lift\": 20.0")).unwrap();
-
-    // A 150% growth on one section against a 25% threshold: non-zero exit
-    // with the stable NX701 code, and the section named on stdout.
-    let out = netexpl()
-        .args([
-            "bench",
-            "--compare",
-            old.to_str().unwrap(),
-            "--in",
-            new.to_str().unwrap(),
-            "--threshold",
-            "25",
-        ])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("REGRESSED"), "{stdout}");
-    assert!(
-        stdout.contains("scenarios.scenario1.stage_ms.lift"),
-        "{stdout}"
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("NX701"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // The identical report passes the gate.
-    let out = netexpl()
-        .args([
-            "bench",
-            "--compare",
-            old.to_str().unwrap(),
-            "--in",
-            old.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("no regressions"),
-        "{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    std::fs::remove_file(&old).ok();
-    std::fs::remove_file(&new).ok();
 }
 
 #[test]

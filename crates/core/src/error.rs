@@ -23,7 +23,6 @@
 //! | NX401 | explanation pipeline                          |
 //! | NX501 | budget interrupt (deadline/caps/cancellation) |
 //! | NX601 | lint findings at error severity               |
-//! | NX701 | benchmark regression beyond threshold         |
 //! | NX801 | server overloaded — request shed at admission |
 //! | NX802 | malformed/undecodable server request          |
 //! | NX803 | oversized server request                      |
@@ -69,9 +68,6 @@ pub enum Error {
     Interrupted(Interrupt),
     /// Lint reported findings at error severity (NX601).
     Lint { errors: usize },
-    /// `bench --compare` found timing regressions beyond the threshold
-    /// (NX701).
-    BenchRegression { regressions: usize },
     /// A serve-layer failure (NX8xx): produced locally by `netexpl serve`
     /// or relayed verbatim from a remote server by `netexpl request`, so
     /// the client exits with the same classified line the server logged.
@@ -96,7 +92,6 @@ impl Error {
             Error::Explain(_) => "NX401",
             Error::Interrupted(_) => "NX501",
             Error::Lint { .. } => "NX601",
-            Error::BenchRegression { .. } => "NX701",
             Error::Serve { code, .. } => code,
         }
     }
@@ -116,9 +111,6 @@ impl std::fmt::Display for Error {
             Error::Explain(e) => write!(f, "explain: {e}"),
             Error::Interrupted(i) => write!(f, "{i}"),
             Error::Lint { errors } => write!(f, "lint found {errors} error-severity finding(s)"),
-            Error::BenchRegression { regressions } => {
-                write!(f, "bench: {regressions} regression(s) beyond threshold")
-            }
             Error::Serve { message, .. } => write!(f, "{message}"),
         }
     }
@@ -200,7 +192,6 @@ mod tests {
             "NX501"
         );
         assert_eq!(Error::Lint { errors: 2 }.code(), "NX601");
-        assert_eq!(Error::BenchRegression { regressions: 1 }.code(), "NX701");
         // Serve errors carry their NX8xx code verbatim across the wire.
         let shed = Error::Serve {
             code: "NX801".into(),

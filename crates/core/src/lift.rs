@@ -50,10 +50,10 @@
 //! provenance, completeness and `candidates_checked` are exactly those of
 //! the unfiltered lifter.
 //!
-//! Setting [`LiftOptions::incremental`] to `false` (or the
-//! `NETEXPL_FRESH_SOLVER` environment variable) restores the original
-//! fresh-solver-per-query behaviour, with no model filter, for ablation and
-//! as the differential oracle; both paths answer identically.
+//! Setting [`LiftOptions::incremental`] to `false` selects the original
+//! fresh-solver-per-query lifter, with no model filter: the reference
+//! `tests/lift_model_filter.rs` compares the session lifter against. Both
+//! paths answer identically.
 //!
 //! ## Serial by design
 //!
@@ -74,7 +74,7 @@ use std::sync::Arc;
 
 use netexpl_logic::budget::{Budget, Interrupt, InterruptReason};
 use netexpl_logic::model::{Assignment, Evaluator};
-use netexpl_logic::session::{incremental_enabled, SmtSession};
+use netexpl_logic::session::SmtSession;
 use netexpl_logic::solver::{entails_under, SmtResult, SmtSolver};
 use netexpl_logic::term::{Ctx, TermId};
 use netexpl_spec::{PathPattern, Requirement, Seg, Specification, SubSpec};
@@ -95,9 +95,9 @@ pub struct LiftOptions {
     /// necessary.
     pub budget: Budget,
     /// Run the candidate checks on a persistent [`SmtSession`] (encode the
-    /// base once, one assumption query per candidate) instead of a fresh
-    /// solver per query. Defaults to [`incremental_enabled`]; disable for
-    /// ablation or differential runs.
+    /// base once, one assumption query per candidate, model filter on).
+    /// Defaults to `true`; `false` selects the unfiltered fresh-solver
+    /// lifter, the reference the differential suite compares against.
     pub incremental: bool,
     /// Ignored: the lifter always runs on the calling thread. Kept so
     /// existing callers that set it still compile.
@@ -113,7 +113,7 @@ impl Default for LiftOptions {
             max_window: 6,
             max_candidates: 256,
             budget: Budget::unlimited(),
-            incremental: incremental_enabled(),
+            incremental: true,
             workers: 1,
             session_store: None,
         }

@@ -26,8 +26,7 @@ use std::collections::{BTreeMap, HashSet};
 use netexpl_bgp::{MatchClause, NetworkConfig, RouteMap};
 use netexpl_core::symbolize::Dir;
 use netexpl_dataflow::Prefilter;
-use netexpl_logic::session::{incremental_enabled, SmtSession};
-use netexpl_logic::solver::is_unsat;
+use netexpl_logic::session::SmtSession;
 use netexpl_logic::term::{Ctx, TermId};
 use netexpl_logic::SmtResult;
 use netexpl_synth::vocab::{VocabSorts, Vocabulary};
@@ -223,10 +222,8 @@ fn lint_map(
     // One session per map: the domain constraints are encoded once and every
     // entry probe rides on it as an assumption query, so learned clauses from
     // earlier entries prune the search for later ones.
-    let mut session = incremental_enabled().then(SmtSession::new);
-    if let Some(s) = session.as_mut() {
-        s.assert(ctx, route.domain);
-    }
+    let mut session = SmtSession::new();
+    session.assert(ctx, route.domain);
 
     for (i, &m_i) in match_terms.iter().enumerate() {
         let e = &map.entries[i];
@@ -241,19 +238,12 @@ fn lint_map(
         } else {
             stats.solved += 1;
         }
-        let contradictory = !witnessed_sat
-            && match session.as_mut() {
-                Some(s) => {
-                    // Attribute the query to the diagnostic probing it, so
-                    // `netexpl profile` can rank lint probes by solver cost.
-                    s.set_origin(format!("NE011:{}:{}", map.name, e.seq));
-                    matches!(s.check_assuming(ctx, &[m_i]).0, SmtResult::Unsat)
-                }
-                None => {
-                    let matchable = ctx.and2(route.domain, m_i);
-                    is_unsat(ctx, matchable)
-                }
-            };
+        let contradictory = !witnessed_sat && {
+            // Attribute the query to the diagnostic probing it, so
+            // `netexpl profile` can rank lint probes by solver cost.
+            session.set_origin(format!("NE011:{}:{}", map.name, e.seq));
+            matches!(session.check_assuming(ctx, &[m_i]).0, SmtResult::Unsat)
+        };
         if contradictory {
             diags.push(
                 Diagnostic::new(
@@ -278,24 +268,15 @@ fn lint_map(
             continue;
         }
         stats.solved += 1;
-        let unreachable = match session.as_mut() {
-            Some(s) => {
-                s.set_origin(format!("NE010:{}:{}", map.name, e.seq));
-                let mut assumptions = vec![m_i];
-                for &m_j in &match_terms[..i] {
-                    assumptions.push(ctx.not(m_j));
-                }
-                matches!(s.check_assuming(ctx, &assumptions).0, SmtResult::Unsat)
-            }
-            None => {
-                let mut reach = vec![route.domain, m_i];
-                for &m_j in &match_terms[..i] {
-                    reach.push(ctx.not(m_j));
-                }
-                let reach = ctx.and(&reach);
-                is_unsat(ctx, reach)
-            }
-        };
+        session.set_origin(format!("NE010:{}:{}", map.name, e.seq));
+        let mut assumptions = vec![m_i];
+        for &m_j in &match_terms[..i] {
+            assumptions.push(ctx.not(m_j));
+        }
+        let unreachable = matches!(
+            session.check_assuming(ctx, &assumptions).0,
+            SmtResult::Unsat
+        );
         if unreachable {
             diags.push(
                 Diagnostic::new(

@@ -28,13 +28,6 @@
 //! query returns [`SmtResult::Unknown`] and poisons *nothing* — answers
 //! already returned stay valid, and the session keeps working once the
 //! budget is restored.
-//!
-//! The fresh path remains available for differential testing and ablation:
-//! setting `NETEXPL_FRESH_SOLVER=1` makes [`incremental_enabled`] report
-//! `false`, which the rewritten call sites consult to fall back to
-//! per-query [`crate::solver::SmtSolver`] construction.
-
-use std::sync::OnceLock;
 
 use crate::bitblast::BitBlaster;
 use crate::budget::{Budget, Interrupt, InterruptReason};
@@ -44,19 +37,6 @@ use crate::sat::{Lit, SatResult, SatSolver};
 use crate::solver::{decode_model, fill_defaults_and_block, record_sat_stats, SmtResult};
 use crate::term::{Ctx, TermId};
 use netexpl_obs::Span;
-
-/// Whether call sites should use incremental sessions (the default) or fall
-/// back to fresh per-query solvers. Controlled by the `NETEXPL_FRESH_SOLVER`
-/// environment variable (`1` or `true` disables sessions), read once per
-/// process so the answer cannot change mid-pipeline.
-pub fn incremental_enabled() -> bool {
-    static FRESH: OnceLock<bool> = OnceLock::new();
-    !*FRESH.get_or_init(|| {
-        std::env::var("NETEXPL_FRESH_SOLVER")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false)
-    })
-}
 
 /// A persistent solver session: assertions are encoded once and every query
 /// runs under assumptions on the same long-lived [`SatSolver`].
@@ -301,11 +281,16 @@ impl SmtSession {
         }
     }
 
-    /// Enumerate up to `limit` models pairwise distinct on `distinct_on`,
-    /// mirroring [`crate::solver::SmtSolver::check_all`]. Blocking clauses
-    /// are asserted permanently into the session — exactly the incremental
-    /// use case: each successive model search starts from the previous
-    /// one's learned clauses.
+    /// Enumerate up to `limit` models that differ on at least one of the
+    /// `distinct_on` variables (term-level variables of any sort). After
+    /// each model a blocking constraint over those variables is asserted
+    /// permanently into the session, so the returned assignments are
+    /// pairwise distinct on them and each successive model search starts
+    /// from the previous one's learned clauses.
+    ///
+    /// The second component reports an interrupt when the budget ran out
+    /// mid-enumeration: the models gathered so far are still valid, but the
+    /// enumeration may be incomplete.
     pub fn check_all(
         &mut self,
         ctx: &mut Ctx,

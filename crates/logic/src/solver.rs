@@ -54,7 +54,7 @@ pub(crate) fn decode_model(
     asg
 }
 
-/// Shared tail of model enumeration (`check_all` on both solver flavours):
+/// Shared tail of model enumeration ([`crate::session::SmtSession::check_all`]):
 /// give unconstrained distinguished variables a default value so enumeration
 /// still ranges over them, then return the blocking term that excludes this
 /// combination of values — or `None` when there is nothing to block on.
@@ -198,40 +198,6 @@ impl SmtSolver {
         self.check_with(ctx, &[])
     }
 
-    /// Enumerate up to `limit` models that differ on at least one of the
-    /// `distinct_on` variables (term-level variables of any sort). After
-    /// each model a blocking constraint over those variables is added, so
-    /// the returned assignments are pairwise distinct on them.
-    ///
-    /// The second component reports an interrupt when the budget ran out
-    /// mid-enumeration: the models gathered so far are still valid, but the
-    /// enumeration may be incomplete.
-    pub fn check_all(
-        &self,
-        ctx: &mut Ctx,
-        distinct_on: &[TermId],
-        limit: usize,
-    ) -> (Vec<Assignment>, Option<Interrupt>) {
-        let mut models = Vec::new();
-        let mut blocking: Vec<TermId> = Vec::new();
-        while models.len() < limit {
-            let result = self.check_with(ctx, &blocking);
-            if let SmtResult::Unknown(i) = result {
-                return (models, Some(i));
-            }
-            let Some(mut model) = result.model() else {
-                break;
-            };
-            let Some(block) = fill_defaults_and_block(ctx, &mut model, distinct_on) else {
-                models.push(model);
-                break; // nothing to block on: one model is all there is
-            };
-            blocking.push(block);
-            models.push(model);
-        }
-        (models, None)
-    }
-
     /// Decide the assertions under retractable boolean assumptions. On
     /// `Unsat`, the second component is an **unsat core**: indices into
     /// `assumptions` whose conjunction (with the assertions) is already
@@ -370,16 +336,6 @@ pub fn is_sat(ctx: &mut Ctx, t: TermId) -> bool {
     s.check(ctx).is_sat()
 }
 
-/// Is `t` unsatisfiable on its own? Distinct from `!is_sat`: an interrupted
-/// query counts as *neither* sat nor unsat, so governance-aware callers
-/// (e.g. the lint SAT pass) use this to avoid reading `Unknown` as a
-/// refutation.
-pub fn is_unsat(ctx: &mut Ctx, t: TermId) -> bool {
-    let mut s = SmtSolver::new();
-    s.assert(t);
-    matches!(s.check(ctx), SmtResult::Unsat)
-}
-
 /// Budgeted satisfiability: `Ok(verdict)` when the solver finished within
 /// `budget`, `Err(interrupt)` when it did not. The verdict, when present,
 /// is exactly what the unbudgeted solver would answer.
@@ -409,28 +365,23 @@ pub fn entails_under(
 /// Budgeted equivalence: are `a` and `b` logically equivalent, if decidable
 /// within `budget`?
 ///
-/// When incremental sessions are enabled this encodes `a` and `b` once into
-/// a single [`crate::session::SmtSession`] and decides both entailment
-/// directions as assumption queries over the shared CNF; otherwise it falls
-/// back to two independent [`entails_under`] calls.
+/// Encodes `a` and `b` once into a single [`crate::session::SmtSession`]
+/// and decides both entailment directions as assumption queries over the
+/// shared CNF.
 pub fn equivalent_under(
     ctx: &mut Ctx,
     a: TermId,
     b: TermId,
     budget: &Budget,
 ) -> Result<bool, Interrupt> {
-    if crate::session::incremental_enabled() {
-        let mut session = crate::session::SmtSession::new();
-        session.set_budget(budget.clone());
-        // a ⊨ b ⇔ a ∧ ¬b unsat; the second query reuses every gate clause
-        // (and any learned clauses) from the first.
-        if !session.entails_assuming(ctx, &[a], b)? {
-            return Ok(false);
-        }
-        session.entails_assuming(ctx, &[b], a)
-    } else {
-        Ok(entails_under(ctx, a, b, budget)? && entails_under(ctx, b, a, budget)?)
+    let mut session = crate::session::SmtSession::new();
+    session.set_budget(budget.clone());
+    // a ⊨ b ⇔ a ∧ ¬b unsat; the second query reuses every gate clause (and
+    // any learned clauses) from the first.
+    if !session.entails_assuming(ctx, &[a], b)? {
+        return Ok(false);
     }
+    session.entails_assuming(ctx, &[b], a)
 }
 
 /// Is `t` valid (true under every assignment)?
@@ -456,6 +407,7 @@ pub fn equivalent(ctx: &mut Ctx, a: TermId, b: TermId) -> bool {
 mod tests {
     use super::*;
     use crate::model::brute_force_equivalent;
+    use crate::session::SmtSession;
     use crate::simplify::Simplifier;
 
     #[test]
@@ -564,6 +516,8 @@ mod tests {
         assert!(ctx.term_size(g) <= ctx.term_size(f));
     }
 
+    // Model enumeration runs on sessions; these pin the shared
+    // `fill_defaults_and_block` tail through `SmtSession::check_all`.
     #[test]
     fn check_all_enumerates_distinct_models() {
         let mut ctx = Ctx::new();
@@ -571,21 +525,28 @@ mod tests {
         let v = ctx.enum_var("v", s3);
         let c0 = ctx.enum_const(s3, 0);
         let not_a = ctx.neq(v, c0);
-        let mut solver = SmtSolver::new();
-        solver.assert(not_a);
-        let (models, interrupt) = solver.check_all(&mut ctx, &[v], 10);
+        // Enumeration asserts its blocking clauses, so every case starts
+        // from a new session.
+        let session = |ctx: &mut Ctx, assertions: &[TermId]| {
+            let mut s = SmtSession::new();
+            for &t in assertions {
+                s.assert(ctx, t);
+            }
+            s
+        };
+        let (models, interrupt) = session(&mut ctx, &[not_a]).check_all(&mut ctx, &[v], 10);
         assert!(interrupt.is_none());
         assert_eq!(models.len(), 2, "v ∈ {{b, c}}");
         let vals: std::collections::HashSet<_> =
             models.iter().map(|m| m.eval(&ctx, v).unwrap()).collect();
         assert_eq!(vals.len(), 2, "models must be distinct on v");
         // With a limit of 1 only one model comes back.
-        let (one, _) = solver.check_all(&mut ctx, &[v], 1);
+        let (one, _) = session(&mut ctx, &[not_a]).check_all(&mut ctx, &[v], 1);
         assert_eq!(one.len(), 1);
         // Unsatisfiable assertions yield no models.
         let eq_a = ctx.eq(v, c0);
-        solver.assert(eq_a);
-        assert!(solver.check_all(&mut ctx, &[v], 10).0.is_empty());
+        let mut unsat = session(&mut ctx, &[not_a, eq_a]);
+        assert!(unsat.check_all(&mut ctx, &[v], 10).0.is_empty());
     }
 
     #[test]
@@ -595,9 +556,9 @@ mod tests {
         let b = ctx.bool_var("b");
         let one = ctx.int_const(1);
         let le = ctx.le(i, one); // i ∈ {0, 1}, b free: 4 models
-        let mut solver = SmtSolver::new();
-        solver.assert(le);
-        let (models, interrupt) = solver.check_all(&mut ctx, &[i, b], 10);
+        let mut session = SmtSession::new();
+        session.assert(&mut ctx, le);
+        let (models, interrupt) = session.check_all(&mut ctx, &[i, b], 10);
         assert!(interrupt.is_none());
         assert_eq!(models.len(), 4);
     }

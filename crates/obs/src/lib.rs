@@ -18,8 +18,7 @@
 //! current thread and returns an [`ObsGuard`]; dropping the guard flushes
 //! metrics to every sink and deactivates collection. When nothing is
 //! installed every entry point reduces to one thread-local check, so
-//! instrumented code paths stay hot-loop safe (the acceptance bar is no
-//! measurable overhead in the `seed_simplification` bench).
+//! instrumented code paths stay hot-loop safe.
 
 pub mod chrome;
 mod json;

@@ -2,8 +2,8 @@
 //! request against the warm-session pool.
 //!
 //! The engine is what a worker thread runs inside its `catch_unwind`
-//! envelope, and what the bench harness drives directly for the
-//! warm-vs-cold comparison (no sockets involved). It owns the pool and
+//! envelope, and what tests and perfbench's traced run drive directly
+//! (no sockets involved). It owns the pool and
 //! the shared metrics; the server wraps it with the queue, the
 //! connection plumbing, and crash isolation.
 

@@ -173,21 +173,12 @@ pub fn synthesize_diverse(
     // Model enumeration is a query stream over one constraint set: encode the
     // constraints once into a session so every blocking-clause round reuses
     // the CNF and the learned clauses from the previous rounds.
-    let (models, interrupt) = if netexpl_logic::session::incremental_enabled() {
-        let mut session = netexpl_logic::SmtSession::new();
-        session.set_budget(options.budget.clone());
-        for c in encoded.constraints() {
-            session.assert(ctx, c);
-        }
-        session.check_all(ctx, &holes, limit)
-    } else {
-        let mut solver = SmtSolver::new();
-        solver.set_budget(options.budget.clone());
-        for c in encoded.constraints() {
-            solver.assert(c);
-        }
-        solver.check_all(ctx, &holes, limit)
-    };
+    let mut session = netexpl_logic::SmtSession::new();
+    session.set_budget(options.budget.clone());
+    for c in encoded.constraints() {
+        session.assert(ctx, c);
+    }
+    let (models, interrupt) = session.check_all(ctx, &holes, limit);
     if models.is_empty() {
         // With zero models an interrupt means "don't know", not "unsat".
         return Err(match interrupt {

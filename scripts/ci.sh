@@ -22,6 +22,12 @@ echo "==> cargo test"
 # catch regressions, few enough to keep the gate fast.
 PROPTEST_CASES="${PROPTEST_CASES:-8}" cargo test -q
 
+echo "==> perfbench self-test: every workload catches a corrupted expectation"
+# The benchmark harness (perfbench/, its own cargo workspace) builds against
+# the workspace crates by path: this fails as soon as an API change breaks
+# it, and checks each workload repeats its exact counters.
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- self-test
+
 echo "==> observability smoke: explain --trace=json --metrics-out"
 OBS_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_DIR"' EXIT
@@ -105,26 +111,11 @@ for site in no.such.site lift.shard; do
     || { echo "unknown fault site $site was not rejected"; exit 1; }
 done
 
-echo "==> solver differential suite: session vs fresh vs DPLL oracle"
-# The incremental-session paths must agree with the one-shot solvers and
-# the DPLL oracle on randomized query streams — in both solver modes.
-PROPTEST_CASES="${PROPTEST_CASES:-8}" cargo test -q --test session_differential
-NETEXPL_FRESH_SOLVER=1 PROPTEST_CASES="${PROPTEST_CASES:-8}" \
-    cargo test -q --test session_differential
-
-echo "==> delta differential suite: explain_delta vs from-scratch, both solver modes"
-# Incremental re-explanation must agree with a from-scratch run on every
-# semantic artifact under random edits — on incremental sessions and (via
-# the env leg) on fresh solvers per query.
-PROPTEST_CASES="${PROPTEST_CASES:-8}" cargo test -q --test explain_delta
-NETEXPL_FRESH_SOLVER=1 PROPTEST_CASES="${PROPTEST_CASES:-8}" \
-    cargo test -q --test explain_delta
-
 echo "==> model-filter smoke: scenario 2 R3 (Figure 4) from cached witnesses"
 # Explain the paper's scenario-2 configuration at R3. The session lifter
 # must reach Figure 4 while deciding candidates from cached SAT witnesses
-# (lift.model_filtered > 0); the fresh-solver leg is the unfiltered oracle
-# (lift.model_filtered = 0) and must print the same subspecification.
+# (lift.model_filtered > 0). Agreement with the unfiltered fresh-solver
+# lifter is tests/lift_model_filter.rs's job.
 cat > "$OBS_DIR/s2.spec" <<'EOF'
 // @originate P1 200.7.0.0/16
 // @originate P2 200.7.0.0/16
@@ -157,26 +148,19 @@ route-map R3_from_R2 deny 10
 route-map R3_from_R2 permit 20
   set local-preference 100
 EOF
-model_filtered() {
-  grep -o '"lift.model_filtered": *[0-9]*' "$1" | grep -o '[0-9]*$' || echo 0
-}
-for fresh in 0 1; do
-  NETEXPL_FRESH_SOLVER=$fresh ./target/release/netexpl explain --topology paper \
-      --spec "$OBS_DIR/s2.spec" --config "$OBS_DIR/s2.conf" --router R3 \
-      --metrics-out "$OBS_DIR/s2-metrics-$fresh.json" > "$OBS_DIR/s2-$fresh.txt"
-  sed -n '/^subspecification/,/^}/p' "$OBS_DIR/s2-$fresh.txt" > "$OBS_DIR/s2-subspec-$fresh.txt"
-  for line in '(R3 -> R1 -> P1 -> ... -> D1)' '>> (R3 -> R2 -> P2 -> ... -> D1)' \
-              '!(R1 -> R2 -> R3)' '!(R2 -> R1 -> R3)' 'R3 ~> D1' 'Customer ~> D1'; do
-    grep -qF -- "$line" "$OBS_DIR/s2-subspec-$fresh.txt" \
-      || { echo "scenario 2 R3 (fresh=$fresh): missing Figure 4 line $line"; exit 1; }
-  done
+./target/release/netexpl explain --topology paper \
+    --spec "$OBS_DIR/s2.spec" --config "$OBS_DIR/s2.conf" --router R3 \
+    --metrics-out "$OBS_DIR/s2-metrics.json" > "$OBS_DIR/s2.txt"
+sed -n '/^subspecification/,/^}/p' "$OBS_DIR/s2.txt" > "$OBS_DIR/s2-subspec.txt"
+for line in '(R3 -> R1 -> P1 -> ... -> D1)' '>> (R3 -> R2 -> P2 -> ... -> D1)' \
+            '!(R1 -> R2 -> R3)' '!(R2 -> R1 -> R3)' 'R3 ~> D1' 'Customer ~> D1'; do
+  grep -qF -- "$line" "$OBS_DIR/s2-subspec.txt" \
+    || { echo "scenario 2 R3: missing Figure 4 line $line"; exit 1; }
 done
-cmp -s "$OBS_DIR/s2-subspec-0.txt" "$OBS_DIR/s2-subspec-1.txt" \
-  || { echo "model-filtered and fresh lifters disagree on scenario 2 R3"; exit 1; }
-[ "$(model_filtered "$OBS_DIR/s2-metrics-0.json")" -gt 0 ] \
+model_filtered="$(grep -o '"lift.model_filtered": *[0-9]*' "$OBS_DIR/s2-metrics.json" \
+    | grep -o '[0-9]*$' || echo 0)"
+[ "$model_filtered" -gt 0 ] \
   || { echo "session lifter decided no candidate from a cached witness"; exit 1; }
-[ "$(model_filtered "$OBS_DIR/s2-metrics-1.json")" -eq 0 ] \
-  || { echo "fresh-solver oracle must not model-filter"; exit 1; }
 
 echo "==> diff smoke: one-clause cosmetic edit recomputes one router"
 # Synthesize the paper configuration, renumber one route-map clause (a
@@ -203,45 +187,6 @@ awk '
     if (delta >= full) { printf "delta (%.1fms) not faster than full (%.1fms)\n", delta, full; exit 1 }
   }
 ' "$OBS_DIR/diff.json"
-
-echo "==> bench smoke: lift section present, session speedup >= 1"
-# The full report on stdout must carry the lift section, and the
-# incremental sessions must not be slower than fresh solvers on the
-# paper's six-router example.
-./target/release/netexpl bench --json > "$OBS_DIR/bench.json"
-grep -q '"subspec_agrees": true' "$OBS_DIR/bench.json"
-awk '
-  # Anchor on the lift *object* — scenario stage timings also have a
-  # numeric "lift" key, and the network section has its own "speedup".
-  /"lift": \{/   { in_lift = 1 }
-  in_lift && /"speedup":/ {
-    v = $2; gsub(/[,"]/, "", v); found = 1
-    if (v + 0 < 1.0) { printf "lift speedup %s < 1.0\n", v; exit 1 }
-    exit 0
-  }
-  END { if (!found) { print "no lift speedup in bench --json"; exit 1 } }
-' "$OBS_DIR/bench.json"
-
-echo "==> bench: incremental delta reuses clean routers, agrees, and wins"
-# The report's own validation bit (`delta_agrees`) is the correctness
-# gate; the dirty-set and wall-clock checks are the performance claim:
-# a cosmetic one-clause edit must dirty fewer routers than the network
-# holds and re-explain faster than the from-scratch run.
-awk '
-  /"explain_delta": \{/   { in_d = 1 }
-  in_d && /"delta_agrees":/ { agrees = ($0 ~ /true/) }
-  in_d && /"delta_faster":/ { faster = ($0 ~ /true/) }
-  in_d && /"dirty_count":/  { v = $2; gsub(/[^0-9]/, "", v); dirty = v + 0 }
-  in_d && /"routers":/      { v = $2; gsub(/[^0-9]/, "", v); routers = v + 0 }
-  in_d && /"workers":/ {
-    found = 1
-    if (!agrees) { print "explain_delta: delta diverged from from-scratch"; exit 1 }
-    if (dirty >= routers) { printf "explain_delta: dirty %d not < routers %d\n", dirty, routers; exit 1 }
-    if (!faster) { print "explain_delta: delta not faster than full"; exit 1 }
-    exit 0
-  }
-  END { if (!found) { print "no explain_delta section in bench --json"; exit 1 } }
-' "$OBS_DIR/bench.json"
 
 echo "==> network-lint smoke: dataflow pass clean on paper, exit codes honored"
 # The paper scenario must come through the network pass with zero errors.
@@ -273,17 +218,6 @@ if ./target/release/netexpl lint --topology paper --spec "$OBS_DIR/warn.txt" \
   echo "lint --deny-warnings did not fail on a warning"; exit 1
 fi
 
-echo "==> bench: SAT pre-filter eliminates a majority of probes"
-awk '
-  /"lint_network": \{/ { in_nl = 1 }
-  in_nl && /"filtered_majority":/ {
-    found = 1
-    if ($0 !~ /true/) { print "SAT pre-filter did not win a majority"; exit 1 }
-    exit 0
-  }
-  END { if (!found) { print "no lint_network section in bench --json"; exit 1 } }
-' "$OBS_DIR/bench.json"
-
 echo "==> profile smoke: attribution report names a dominant router"
 ./target/release/netexpl profile --topology paper --spec "$OBS_DIR/spec.txt" \
     --all --trace-out "$OBS_DIR/profile_trace.json" > "$OBS_DIR/profile.txt"
@@ -292,23 +226,6 @@ grep -q 'Amdahl:' "$OBS_DIR/profile.txt"
 grep -q 'critical path:' "$OBS_DIR/profile.txt"
 # The side-channel Chrome trace must be a parseable trace_event document.
 grep -q '"traceEvents"' "$OBS_DIR/profile_trace.json"
-
-echo "==> bench regression gate: fresh report vs committed baseline"
-# The threshold is deliberately generous (10x): CI machines differ wildly
-# from the one that recorded scripts/bench_baseline.json, so only
-# order-of-magnitude blowups should gate.
-./target/release/netexpl bench --compare scripts/bench_baseline.json \
-    --in "$OBS_DIR/bench.json" --threshold 900
-# The gate must actually fire: inflate one timing section 100x (two
-# zeros appended to its integer part) and expect the NX701 exit.
-sed 's/"sequential_ms": \([0-9]*\)/"sequential_ms": \100/' "$OBS_DIR/bench.json" \
-    > "$OBS_DIR/bench-regressed.json"
-if ./target/release/netexpl bench --compare scripts/bench_baseline.json \
-    --in "$OBS_DIR/bench-regressed.json" --threshold 900 \
-    > "$OBS_DIR/compare-regressed.txt" 2>&1; then
-  echo "bench --compare did not fail on an inflated report"; exit 1
-fi
-grep -q 'REGRESSED' "$OBS_DIR/compare-regressed.txt"
 
 echo "==> explain-all smoke: every router reported, run bounded"
 ./target/release/netexpl explain --topology paper --spec "$OBS_DIR/spec.txt" \
@@ -332,7 +249,7 @@ ADDR="$(sed -n 's/^listening on //p' "$OBS_DIR/serve.log" | head -1)"
 [ -n "$ADDR" ] || { echo "serve printed no listening line"; cat "$OBS_DIR/serve.log"; exit 1; }
 # Cold request, then the identical one warm, with the pool hit visible in
 # the server's own metrics. In a release build the warm path must also be
-# the faster one (the timing half of the bench `serve` section).
+# the faster one.
 ./target/release/netexpl request --addr "$ADDR" --op explain --topology paper \
     --spec "$OBS_DIR/spec.txt" --skip-lift > "$OBS_DIR/serve-cold.json"
 grep -q '"warm": false' "$OBS_DIR/serve-cold.json"

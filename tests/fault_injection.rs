@@ -114,18 +114,13 @@ fn every_site_degrades_explain_gracefully() {
     }
     // Guard-armed faults fire on the arming thread only; explain runs on
     // this thread, so every site on its path must still fire.
-    let solver_site = if netexpl_logic::session::incremental_enabled() {
-        "session.query"
-    } else {
-        "smt.check"
-    };
     let mut expected = vec![
         "sat.search",
         "encode.paths",
         "seed.encode",
         "simplify.pass",
         "lift.candidate",
-        solver_site,
+        "session.query",
     ];
     fired.sort_unstable();
     expected.sort_unstable();

@@ -11,8 +11,8 @@
 //! ground truth is ever rejected by a budgeted run, and no candidate
 //! rejected by ground truth is ever kept.
 //!
-//! The matrix pins `LiftOptions::incremental` directly, so it holds
-//! whatever `NETEXPL_FRESH_SOLVER` says.
+//! `LiftOptions::incremental` selects the backend: `true` (the default) is
+//! the session lifter, `false` the fresh-solver oracle.
 
 mod common;
 
@@ -239,9 +239,8 @@ fn scenario2_r3_is_mostly_model_filtered() {
 }
 
 /// The paper's running example (scenario 3, `Req1`, lifting at `R2` under
-/// the session selector toward `P2`, Figure 5): the exact workload the
-/// `lift` bench section times. Pinned so the filter is checked against
-/// the oracle on a realistic, non-generated seed too.
+/// the session selector toward `P2`, Figure 5). Pinned so the filter is
+/// checked against the oracle on a realistic, non-generated seed too.
 #[test]
 fn paper_example_r2_matches_the_fresh_oracle() {
     let (topo, h, net, spec) = scenario3();

@@ -14,7 +14,7 @@ mod common;
 use common::*;
 use netexpl_bgp::Community;
 use netexpl_bgp::{Action, RouteMap, RouteMapEntry, SetClause};
-use netexpl_lint::{lint_network, Code, Severity, Suppressions};
+use netexpl_lint::{lint_config, lint_network, Code, Severity, Suppressions};
 
 #[test]
 fn scenario1_network_lints_without_errors() {
@@ -61,6 +61,26 @@ fn scenario3_network_lints_without_errors_or_valleys() {
         diags.with_code(Code::PreferenceInversion).is_empty(),
         "{diags}"
     );
+}
+
+/// The network lint's SAT pre-filter: on scenario 3 the fixpoint's
+/// witnesses answer every NE010/NE011 probe, so none reaches the solver,
+/// while the per-map lint without them solves all 14. The counters are
+/// read under a thread-local memory session, so the test is hermetic.
+#[test]
+fn scenario3_network_lint_prefilter_wins() {
+    let (topo, _, net, spec) = scenario3();
+    let vocab = paper_vocab(&topo, net.prefixes());
+    let (guard, handle) = netexpl_obs::install_memory();
+    lint_network(&topo, &spec, &net, Some(&vocab), 0);
+    drop(guard);
+    let metrics = handle.metrics().unwrap();
+    assert_eq!(metrics.counter("lint.sat.filtered"), 14);
+    assert_eq!(metrics.counter("lint.sat.solved"), 0);
+    let (guard, handle) = netexpl_obs::install_memory();
+    lint_config(&topo, &net, Some(&vocab));
+    drop(guard);
+    assert_eq!(handle.metrics().unwrap().counter("lint.sat.solved"), 14);
 }
 
 /// Seeded defect: R3 denies everything from both upstreams — `Customer ~>
