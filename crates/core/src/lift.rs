@@ -24,7 +24,14 @@
 //! Every candidate is judged against the same assertion base, `defs`, so by
 //! default the search runs on one incremental [`SmtSession`] that encodes
 //! `defs` once and answers each candidate as an assumption query, retaining
-//! learned clauses between candidates. Necessity is asked of the same
+//! learned clauses between candidates. The session encodes `defs` as the
+//! fifteen-rule simplifier leaves it, not the raw network-wide term: with
+//! every other router frozen most of it folds away (the paper's key insight,
+//! §3), so the session bit-blasts a fraction of the clauses. Every rule
+//! preserves equivalence over well-sorted assignments, so every query keeps
+//! its answer. The fresh-solver oracle still asserts the raw `defs`, and
+//! witness admission still evaluates it, so neither the oracle nor a cached
+//! witness depends on the simplifier. Necessity is asked of the same
 //! session as `defs ∧ reqs ∧ ¬cand` with `reqs` as an *assumption*: the
 //! Tseitin literal of a conjunction is a full definition (`d ↔ ⋀ lits`,
 //! see `netexpl_logic::cnf`), so assuming it enforces exactly `reqs`, and
@@ -75,6 +82,7 @@ use std::sync::Arc;
 use netexpl_logic::budget::{Budget, Interrupt, InterruptReason};
 use netexpl_logic::model::{Assignment, Evaluator};
 use netexpl_logic::session::SmtSession;
+use netexpl_logic::simplify::Simplifier;
 use netexpl_logic::solver::{entails_under, SmtResult, SmtSolver};
 use netexpl_logic::term::{Ctx, TermId};
 use netexpl_spec::{PathPattern, Requirement, Seg, Specification, SubSpec};
@@ -95,9 +103,10 @@ pub struct LiftOptions {
     /// necessary.
     pub budget: Budget,
     /// Run the candidate checks on a persistent [`SmtSession`] (encode the
-    /// base once, one assumption query per candidate, model filter on).
-    /// Defaults to `true`; `false` selects the unfiltered fresh-solver
-    /// lifter, the reference the differential suite compares against.
+    /// simplified `defs` once, one assumption query per candidate, model
+    /// filter on). Defaults to `true`; `false` selects the unfiltered
+    /// fresh-solver lifter over the raw `defs`, the reference the
+    /// differential suite compares against.
     pub incremental: bool,
     /// Ignored: the lifter always runs on the calling thread. Kept so
     /// existing callers that set it still compile.
@@ -246,21 +255,22 @@ impl Witnesses {
 }
 
 /// The solver backend behind the lifter's entailment queries. Both flavours
-/// answer exactly the same questions; the session flavour encodes `defs`
-/// once, carries learned clauses from candidate to candidate, and decides
-/// what it can from cached witnesses.
+/// answer exactly the same questions; the session flavour encodes the
+/// simplified `defs` once, carries learned clauses from candidate to
+/// candidate, and decides what it can from cached witnesses.
 enum Checker {
-    /// One fresh [`SmtSolver`] per query (the pre-session behaviour, kept
-    /// for ablation and as the unfiltered differential oracle).
+    /// One fresh [`SmtSolver`] per query over the raw `defs` (the
+    /// pre-session behaviour, kept for ablation and as the unfiltered,
+    /// unsimplified differential oracle).
     Fresh {
         defs: TermId,
         seed_conj: TermId,
         budget: Budget,
     },
-    /// One persistent session asserting `defs`. It never receives
-    /// candidate-specific assertions: `reqs`, sufficiency hypotheses and
-    /// provenance negations all travel as assumptions, so one encoding
-    /// serves every query shape.
+    /// One persistent session asserting the simplified `defs`
+    /// ([`simplify_defs`]). It never receives candidate-specific
+    /// assertions: `reqs`, sufficiency hypotheses and provenance negations
+    /// all travel as assumptions, so one encoding serves every query shape.
     Session {
         session: Box<SmtSession>,
         witnesses: Witnesses,
@@ -277,8 +287,9 @@ impl Checker {
                 budget: options.budget.clone(),
             };
         }
+        let base = simplify_defs(ctx, defs, &options.budget);
         let mut session = Box::new(SmtSession::new());
-        session.assert(ctx, defs);
+        session.assert(ctx, base);
         session.set_budget(options.budget.clone());
         Checker::Session {
             session,
@@ -379,6 +390,24 @@ impl Checker {
             }
         }
     }
+}
+
+/// The session's assertion base: `defs` run through the fifteen-rule
+/// simplifier, under a `lift.simplify_defs` span. Every rule preserves
+/// equivalence over well-sorted assignments, so each query keeps its
+/// answer while the frozen rest of the network folds away before it is
+/// bit-blasted. An interrupted simplification returns a partially
+/// simplified term that is still equivalent, so the lift goes on as usual.
+fn simplify_defs(ctx: &mut Ctx, defs: TermId, budget: &Budget) -> TermId {
+    let span = netexpl_obs::Span::enter("lift.simplify_defs");
+    let simplified = Simplifier::default()
+        .with_budget(budget.clone())
+        .simplify(ctx, defs);
+    if span.is_recording() {
+        span.attr("nodes_before", ctx.dag_size(defs));
+        span.attr("nodes_after", ctx.dag_size(simplified));
+    }
+    simplified
 }
 
 /// Is `defs ∧ assumptions` unsatisfiable on `session`? A satisfying model
@@ -989,6 +1018,20 @@ mod option_tests {
         SeedSpec,
         netexpl_topology::RouterId,
     ) {
+        seed_for("Req1 { !(P2 -> ... -> P1) }")
+    }
+
+    /// The paper topology with P2 originating D2 and R1's export to P1
+    /// denying everything, symbolized at R1 and seeded against `spec`.
+    fn seed_for(
+        spec: &str,
+    ) -> (
+        Ctx,
+        netexpl_topology::Topology,
+        Specification,
+        SeedSpec,
+        netexpl_topology::RouterId,
+    ) {
         let (topo, h) = paper_topology();
         let d2: Prefix = "201.0.0.0/16".parse().unwrap();
         let mut net = NetworkConfig::new();
@@ -1005,7 +1048,7 @@ mod option_tests {
                 }],
             ),
         );
-        let spec = netexpl_spec::parse("Req1 { !(P2 -> ... -> P1) }").unwrap();
+        let spec = netexpl_spec::parse(spec).unwrap();
         let vocab = Vocabulary::new(&topo, vec![], vec![100], net.prefixes());
         let mut ctx = Ctx::new();
         let sorts = vocab.sorts(&mut ctx);
@@ -1058,6 +1101,65 @@ mod option_tests {
         assert_eq!(i.reason, InterruptReason::Fault);
         assert!(!result.complete);
         assert!(result.subspec.is_empty(), "fault fires before any check");
+    }
+
+    /// The lift session asserts the simplified `defs`: its encoding is
+    /// strictly smaller than a bare session asserting the raw term, and the
+    /// lift still reaches exactly the answers of the fresh oracle, which
+    /// asserts the raw `defs` itself.
+    #[test]
+    fn session_encodes_the_simplified_defs() {
+        use netexpl_obs::{AttrValue, SpanRecord};
+        let uint = |span: &SpanRecord, key: &str| match span.attr(key) {
+            Some(AttrValue::UInt(n)) => *n,
+            other => panic!("{key}: {other:?}"),
+        };
+        // A reachability requirement gives the seed selection definitions
+        // (the forbidden-only scenario's `defs` fold to true).
+        let (mut ctx, topo, spec, seed, r1) = seed_for(
+            "dest D2 = 201.0.0.0/16\n\
+             Req1 { !(P2 -> ... -> P1) }\n\
+             Req2 { Customer ~> D2 }",
+        );
+
+        let (guard, handle) = netexpl_obs::install_memory();
+        SmtSession::new().assert(&mut ctx, seed.def_conjunction);
+        drop(guard);
+        let raw = handle.spans_named("session.assert");
+        assert_eq!(raw.len(), 1);
+
+        let (guard, handle) = netexpl_obs::install_memory();
+        let session = lift(&mut ctx, &topo, &spec, &seed, r1, LiftOptions::default());
+        drop(guard);
+        let asserted = handle.spans_named("session.assert");
+        assert_eq!(asserted.len(), 1, "one assertion per lift");
+        assert!(
+            uint(&asserted[0], "cnf_clauses") < uint(&raw[0], "cnf_clauses"),
+            "lift encoded {} clauses, raw defs {}",
+            uint(&asserted[0], "cnf_clauses"),
+            uint(&raw[0], "cnf_clauses")
+        );
+        let simplified = handle.spans_named("lift.simplify_defs");
+        assert_eq!(simplified.len(), 1);
+        assert!(uint(&simplified[0], "nodes_after") < uint(&simplified[0], "nodes_before"));
+
+        let fresh = lift(
+            &mut ctx,
+            &topo,
+            &spec,
+            &seed,
+            r1,
+            LiftOptions {
+                incremental: false,
+                ..Default::default()
+            },
+        );
+        assert!(session.interrupt.is_none() && fresh.interrupt.is_none());
+        assert_eq!(session.subspec.to_string(), fresh.subspec.to_string());
+        assert_eq!(session.rejected, fresh.rejected);
+        assert_eq!(session.provenance, fresh.provenance);
+        assert_eq!(session.complete, fresh.complete);
+        assert_eq!(session.candidates_checked, fresh.candidates_checked);
     }
 
     /// Judge every candidate twice on one session checker. The second

@@ -46,14 +46,18 @@ impl ELit {
 
 /// Incremental Tseitin encoder. Multiple roots can be encoded into the same
 /// CNF (sharing definitions), then each asserted or used as an assumption.
+///
+/// A builder is used in exactly one of two ways, never both: drained
+/// ([`CnfBuilder::take_new_clauses`] after every encoding step, as an
+/// incremental [`crate::session::SmtSession`] does) or finished
+/// ([`CnfBuilder::finish`] once, as the one-shot
+/// [`crate::solver::SmtSolver`] does). Draining hands the clauses over, so
+/// a drained builder keeps only its variable map and memo, and finishing
+/// it would return just the clauses emitted since the last drain.
 #[derive(Debug, Default)]
 pub struct CnfBuilder {
     cnf: Cnf,
     memo: HashMap<TermId, ELit>,
-    /// Clauses already handed out by [`CnfBuilder::take_new_clauses`]; the
-    /// session drains the builder after each assertion/definition so only
-    /// novel gate clauses flow into the live solver.
-    drained: usize,
 }
 
 impl CnfBuilder {
@@ -83,7 +87,7 @@ impl CnfBuilder {
         }
     }
 
-    /// Finish and return the CNF.
+    /// Finish and return the CNF (for a builder that was never drained).
     pub fn finish(self) -> Cnf {
         self.cnf
     }
@@ -91,11 +95,6 @@ impl CnfBuilder {
     /// Total SAT variables allocated so far (inputs + Tseitin definitions).
     pub fn num_vars(&self) -> usize {
         self.cnf.num_vars
-    }
-
-    /// Total clauses emitted so far (including already-drained ones).
-    pub fn num_clauses(&self) -> usize {
-        self.cnf.clauses.len()
     }
 
     /// The SAT variable for a term-level variable, if it occurs.
@@ -108,14 +107,13 @@ impl CnfBuilder {
         &self.cnf.var_map
     }
 
-    /// Clauses emitted since the last drain. An incremental session calls
-    /// this after each [`CnfBuilder::assert_term`]/[`CnfBuilder::define_term`]
-    /// and feeds the delta into its long-lived solver; the full clause list
-    /// is still retained for [`CnfBuilder::finish`].
+    /// Hand over the clauses emitted since the last drain. An incremental
+    /// session calls this after each
+    /// [`CnfBuilder::assert_term`]/[`CnfBuilder::define_term`] and moves the
+    /// delta into its long-lived solver, so the builder never holds a
+    /// second copy of the session's CNF.
     pub fn take_new_clauses(&mut self) -> Vec<Vec<Lit>> {
-        let new = self.cnf.clauses[self.drained..].to_vec();
-        self.drained = self.cnf.clauses.len();
-        new
+        std::mem::take(&mut self.cnf.clauses)
     }
 
     fn fresh(&mut self) -> Lit {
@@ -337,6 +335,34 @@ mod tests {
         let cnf = builder.finish();
         // 2 inputs + 1 definition for ab (or of identical lits folds).
         assert_eq!(cnf.num_vars, 3, "clauses: {:?}", cnf.clauses);
+    }
+
+    /// Draining hands each clause over exactly once: a second drain sees
+    /// only what was encoded since the first, memoized subterms add
+    /// nothing, and the builder keeps no copy of what it handed over.
+    #[test]
+    fn drained_clauses_are_handed_over_once() {
+        let mut ctx = Ctx::new();
+        let a = ctx.bool_var("a");
+        let b = ctx.bool_var("b");
+        let c = ctx.bool_var("c");
+        let ab = ctx.and2(a, b);
+        let abc = ctx.or2(ab, c);
+        let mut builder = CnfBuilder::new();
+        assert!(builder.define_term(&ctx, ab).is_ok());
+        let first = builder.take_new_clauses();
+        assert_eq!(first.len(), 3, "ab's definition: {first:?}");
+        assert!(builder.take_new_clauses().is_empty());
+        assert!(builder.assert_term(&ctx, abc));
+        let second = builder.take_new_clauses();
+        assert!(
+            second.iter().all(|cl| !first.contains(cl)),
+            "re-emitted a drained clause: {second:?}"
+        );
+        assert!(builder.define_term(&ctx, ab).is_ok());
+        assert!(builder.take_new_clauses().is_empty());
+        assert_eq!(builder.num_vars(), 5);
+        assert!(builder.finish().clauses.is_empty());
     }
 
     mod prop {

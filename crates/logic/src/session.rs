@@ -11,8 +11,9 @@
 //!   kept for the session's lifetime. Both memoize per hash-consed
 //!   [`TermId`], so a query whose terms were already seen adds *zero* new
 //!   gate clauses; novel subterms add only their own definitions. Freshly
-//!   produced clauses are drained into the solver incrementally
-//!   ([`CnfBuilder::take_new_clauses`]).
+//!   produced clauses are moved into the solver as they are emitted
+//!   ([`CnfBuilder::take_new_clauses`]), so the builder holds no second
+//!   copy of the CNF.
 //! - **Assume per query.** Queries run as
 //!   [`SatSolver::solve_with_assumptions`] over definition literals, so
 //!   nothing a query adds needs to be retracted. The long-lived solver keeps

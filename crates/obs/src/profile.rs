@@ -309,6 +309,7 @@ pub fn analyze(data: &MemoryData, top_k: usize) -> ProfileReport {
             "span.explain.ms",
             "span.lift.ms",
             "span.lift.candidate.ms",
+            "span.lift.simplify_defs.ms",
             "span.session.assert.ms",
             "span.session.query.ms",
             "span.smt.check.ms",

@@ -22,6 +22,13 @@ echo "==> cargo test"
 # catch regressions, few enough to keep the gate fast.
 PROPTEST_CASES="${PROPTEST_CASES:-8}" cargo test -q
 
+echo "==> lift differential: simplified-defs session lifter vs raw-defs oracle, 64 cases"
+# The session lifter asserts the simplified `defs`, the fresh-solver oracle
+# the raw term; every answer must still agree. Widen the generated
+# differential that guards this beyond the 8 cases of the step above.
+PROPTEST_CASES=64 cargo test -q --test lift_model_filter \
+    filtered_session_lifter_matches_the_fresh_oracle
+
 echo "==> perfbench self-test: every workload catches a corrupted expectation"
 # The benchmark harness (perfbench/, its own cargo workspace) builds against
 # the workspace crates by path: this fails as soon as an API change breaks

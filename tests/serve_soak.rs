@@ -3,6 +3,10 @@
 //! invariants: every request gets exactly one typed response, no
 //! connection hangs, per-connection `seq` is strictly monotone, and the
 //! server drains cleanly afterwards.
+//!
+//! The armed fault is process-wide (`arm-fault` arms counted shots), and
+//! a worker of any server in this binary may consume it, so every test
+//! here holds [`netexpl_faults::test_lock`] for its full duration.
 
 mod common;
 
@@ -18,6 +22,7 @@ struct Tally {
 
 #[test]
 fn concurrent_clients_mixed_traffic_and_one_fault() {
+    let _serial = netexpl_faults::test_lock();
     let server = TestServer::start(test_config(3, 8));
 
     // Warm the pool once so the fleet mostly exercises the warm path
@@ -116,6 +121,7 @@ fn concurrent_clients_mixed_traffic_and_one_fault() {
 
 #[test]
 fn draining_server_refuses_heavy_work_but_finishes_the_connection() {
+    let _serial = netexpl_faults::test_lock();
     let server = TestServer::start(test_config(2, 4));
     let mut open = Client::connect(server.addr);
     // A control client initiates the drain.
@@ -141,6 +147,7 @@ fn draining_server_refuses_heavy_work_but_finishes_the_connection() {
 
 #[test]
 fn overload_sheds_with_nx801_instead_of_queueing_unbounded() {
+    let _serial = netexpl_faults::test_lock();
     // One worker, a one-slot queue, and a worker wedged by an armed
     // crash *would* be ideal — but deterministic overload is simpler:
     // saturate with slow cold builds from distinct specs so the queue
