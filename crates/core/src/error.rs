@@ -28,7 +28,7 @@
 //! | NX803 | oversized server request                      |
 //! | NX804 | server worker crashed (isolated, respawned)   |
 //! | NX805 | server draining — request refused             |
-//! | NX806 | warm-session pool failure (entry discarded)   |
+//! | NX806 | warm session discarded by `serve.evict` fault |
 //!
 //! The NX8xx classes are produced by `netexpl-serve` (which cannot be a
 //! dependency of this crate — it sits above it); they travel through

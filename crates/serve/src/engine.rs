@@ -10,20 +10,17 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use netexpl_bgp::fingerprint_config;
 use netexpl_core::symbolize::Selector;
 use netexpl_core::{
-    explain_all_cached, explain_cached, parse_problem, synthesize_problem, topology_by_name, Error,
-    ExplainAllOptions, ExplainOptions, Explanation, RouterOutcome,
+    explain_all_cached, explain_cached, Error, ExplainAllOptions, ExplainOptions, Explanation,
+    RouterOutcome,
 };
 use netexpl_lint::lint_network;
 use netexpl_logic::budget::{Budget, CancelToken};
-use netexpl_logic::term::Ctx;
 use netexpl_obs::SharedMetrics;
-use netexpl_synth::encode::{config_fingerprint, EncodeCache};
 use serde_json::Value;
 
-use crate::pool::{Acquired, Session, SessionKey, SessionPool};
+use crate::pool::{Session, SessionKey, SessionPool};
 use crate::protocol::Op;
 
 /// Engine configuration.
@@ -99,20 +96,10 @@ impl Engine {
             .cancelled_by(self.drain.clone())
     }
 
-    /// Acquire a warm session or build one cold. The cold build runs
-    /// under the request's budget: a request that times out synthesizing
-    /// poisons nothing and pools nothing.
-    ///
-    /// Two delta paths cut the cold cost down:
-    ///
-    /// * A pooled entry whose configuration *drifted locally* (route-map
-    ///   edits, same environment) is salvaged — its cache is patched onto
-    ///   the current configuration, replaying every unchanged crossing —
-    ///   instead of being retired with NX806.
-    /// * A genuinely cold build for a key whose topology already has a
-    ///   pooled session with the same vocabulary and environment adopts
-    ///   that session's context and patches its cache instead of
-    ///   enumerating the encoding from scratch.
+    /// Acquire a warm session or build one cold ([`Session::build`], in
+    /// a fresh context). The cold build runs under the request's budget:
+    /// a request that times out synthesizing poisons nothing and pools
+    /// nothing.
     fn session(
         &self,
         topology: &str,
@@ -120,133 +107,16 @@ impl Engine {
         budget: &Budget,
     ) -> Result<(Arc<Session>, bool), Error> {
         let key = SessionKey::new(topology, spec);
-        match self.pool.acquire(&key)? {
-            Acquired::Warm(s) => return Ok((s, true)),
-            Acquired::Drifted(stale) => {
-                if let Some(s) = self.salvage(key.clone(), spec, &stale) {
-                    return Ok((s, true));
-                }
-                // Salvage failed — fall through to a full cold build.
-            }
-            Acquired::Cold => {}
+        if let Some(session) = self.pool.acquire(&key)? {
+            return Ok((session, true));
         }
         let built = Instant::now();
-        let topo = topology_by_name(topology)?;
-        let problem = parse_problem(&topo, "<request>", spec)?;
-        // Delta adoption: reuse a same-topology pooled context when the
-        // vocabularies agree, so the cache patch below can replay its
-        // recorded crossings (term ids resolve in the cloned arena).
-        let base = self.pool.delta_base(&key);
-        let (mut ctx, sorts, base) = match base {
-            Some(b) if b.problem.vocab == problem.vocab => {
-                let ctx = b.ctx.clone();
-                let sorts = b.sorts;
-                (ctx, sorts, Some(b))
-            }
-            _ => {
-                let mut ctx = Ctx::new();
-                let sorts = problem.vocab.sorts(&mut ctx);
-                (ctx, sorts, None)
-            }
-        };
-        let result = synthesize_problem(&topo, &problem, &mut ctx, sorts, budget.clone())?;
-        let encode = ExplainOptions::default().encode;
-        let cache = base
-            .filter(|b| b.config.originations() == result.config.originations())
-            .and_then(|b| {
-                b.cache
-                    .patch(
-                        &mut ctx,
-                        &topo,
-                        &problem.vocab,
-                        sorts,
-                        &result.config,
-                        encode,
-                    )
-                    .ok()
-            })
-            .map(|(cache, stats)| {
-                self.metrics.counter_add("serve.pool.delta_builds", 1);
-                self.metrics
-                    .counter_add("serve.pool.delta_crossings_reused", stats.reused);
-                cache
-            });
-        let cache = match cache {
-            Some(c) => c,
-            None => EncodeCache::build(
-                &mut ctx,
-                &topo,
-                &problem.vocab,
-                sorts,
-                &result.config,
-                encode,
-            )
-            .map_err(Error::Encode)?,
-        };
-        let fingerprint = config_fingerprint(&topo, &result.config);
-        let fingerprints = fingerprint_config(&result.config);
+        let session = Session::build(topology, spec, budget)?;
         self.metrics.observe(
             "serve.session.build_ms",
             built.elapsed().as_secs_f64() * 1e3,
         );
-        let session = self.pool.insert(
-            key,
-            Session {
-                topo,
-                problem,
-                ctx,
-                sorts,
-                config: result.config,
-                cache,
-                fingerprint,
-                fingerprints,
-            },
-        );
-        Ok((session, false))
-    }
-
-    /// Repair a locally drifted session: patch its cache onto its
-    /// current configuration on a clone of its own context, re-fingerprint,
-    /// and re-pool. Returns `None` when the patch (or the cheap re-parse
-    /// of the request inputs) fails — the caller then builds fully cold.
-    fn salvage(&self, key: SessionKey, spec: &str, stale: &Session) -> Option<Arc<Session>> {
-        let started = Instant::now();
-        let topo = stale.topo.clone();
-        let problem = parse_problem(&topo, "<request>", spec).ok()?;
-        let mut ctx = stale.ctx.clone();
-        let (cache, stats) = stale
-            .cache
-            .patch(
-                &mut ctx,
-                &topo,
-                &problem.vocab,
-                stale.sorts,
-                &stale.config,
-                ExplainOptions::default().encode,
-            )
-            .ok()?;
-        let fingerprint = config_fingerprint(&topo, &stale.config);
-        let fingerprints = fingerprint_config(&stale.config);
-        self.metrics.counter_add("serve.pool.delta_salvaged", 1);
-        self.metrics
-            .counter_add("serve.pool.delta_crossings_reused", stats.reused);
-        self.metrics.observe(
-            "serve.session.salvage_ms",
-            started.elapsed().as_secs_f64() * 1e3,
-        );
-        Some(self.pool.insert(
-            key,
-            Session {
-                topo,
-                problem,
-                ctx,
-                sorts: stale.sorts,
-                config: stale.config.clone(),
-                cache,
-                fingerprint,
-                fingerprints,
-            },
-        ))
+        Ok((self.pool.insert(key, session), false))
     }
 
     /// Execute one heavy request (`explain` or `lint`). Called from a
@@ -512,11 +382,10 @@ Req1 { !(P1 -> ... -> P2) }
     }
 
     #[test]
-    fn cross_spec_cold_build_adopts_the_pooled_encoding() {
+    fn cross_spec_cold_build_answers_like_a_fresh_engine() {
         let engine = Engine::new(EngineConfig::default(), SharedMetrics::new());
         let a = engine.handle(&explain_op(), None).unwrap();
         assert!(!a.warm);
-        assert_eq!(engine.metrics().counter("serve.pool.delta_builds"), 0);
         let op_b = Op::Explain {
             topology: "paper".into(),
             spec: SPEC.replace("Req1", "ReqB"),
@@ -526,45 +395,66 @@ Req1 { !(P1 -> ... -> P2) }
         };
         let b = engine.handle(&op_b, None).unwrap();
         assert!(!b.warm, "a new spec hash is still a cold build");
-        assert_eq!(engine.metrics().counter("serve.pool.delta_builds"), 1);
-        assert!(
-            engine
-                .metrics()
-                .counter("serve.pool.delta_crossings_reused")
-                > 0
-        );
         assert_eq!(engine.pool_len(), 2);
-        // Renaming the requirement does not change the problem: the
-        // adopted build answers exactly like the from-scratch one.
+        // A pooled session under another key changes nothing: B answers
+        // exactly like an engine that never saw A.
+        let fresh = Engine::new(EngineConfig::default(), SharedMetrics::new())
+            .handle(&op_b, None)
+            .unwrap();
+        assert_eq!(b.result.get("routers"), fresh.result.get("routers"));
+        // Renaming the requirement does not change the problem.
         assert_eq!(a.result.get("routers"), b.result.get("routers"));
     }
 
     #[test]
-    fn locally_drifted_session_is_salvaged_not_retired() {
-        let engine = Engine::new(EngineConfig::default(), SharedMetrics::new());
-        let cold = engine.handle(&explain_op(), None).unwrap();
-        assert!(!cold.warm);
-        // Simulate in-place drift: swap the pooled entry for one whose
-        // config carries a cosmetic renumber its fingerprints predate.
-        let key = SessionKey::new("paper", SPEC);
-        engine.pool.insert(
-            key,
-            crate::pool::testutil::drifted_session("paper", SPEC, true),
+    fn alternating_specs_keep_the_pooled_arena_bounded() {
+        // serve-fabric's two ring:6 variants: `a` forbids transit, `b`
+        // also asks reachability. With one pool slot every request
+        // evicts the other spec's session and builds cold.
+        let spec_a = "\
+// @originate Pa 200.7.0.0/16
+// @originate Pb 201.0.0.0/16
+dest D1 = 200.7.0.0/16
+dest D2 = 201.0.0.0/16
+Req1 {
+  !(Pa -> ... -> Pb)
+  !(Pb -> ... -> Pa)
+}
+";
+        let spec_b = format!("{spec_a}Req2 {{\n  R0 ~> D2\n}}\n");
+        let engine = Engine::new(
+            EngineConfig {
+                pool_capacity: 1,
+                ..Default::default()
+            },
+            SharedMetrics::new(),
         );
-        let salvaged = engine.handle(&explain_op(), None).unwrap();
-        assert!(salvaged.warm, "drift must be repaired, not NX806-retired");
-        assert_eq!(engine.metrics().counter("serve.pool.drifted"), 1);
-        assert_eq!(engine.metrics().counter("serve.pool.delta_salvaged"), 1);
-        assert_eq!(
-            engine.metrics().counter("serve.pool.retired_fingerprint"),
-            0
-        );
-        // The repaired entry is healthy again: plainly warm from here on,
-        // and — the edit being cosmetic — it answers like the original.
-        let warm = engine.handle(&explain_op(), None).unwrap();
-        assert!(warm.warm);
-        assert_eq!(engine.metrics().counter("serve.pool.drifted"), 1);
-        assert_eq!(cold.result.get("routers"), warm.result.get("routers"));
+        let mut first: [Option<(usize, Value)>; 2] = [None, None];
+        for i in 0..12 {
+            let spec = [spec_a, spec_b.as_str()][i % 2];
+            let op = Op::Explain {
+                topology: "ring:6".into(),
+                spec: spec.into(),
+                router: None,
+                skip_lift: true,
+                workers: 1,
+            };
+            let reply = engine.handle(&op, None).unwrap();
+            assert!(!reply.warm, "request {i}: the other spec held the slot");
+            let (session, warm) = engine
+                .session("ring:6", spec, &Budget::unlimited())
+                .unwrap();
+            assert!(warm);
+            let terms = session.ctx.num_terms();
+            let routers = reply.result.get("routers").cloned().unwrap();
+            let (first_terms, first_routers) =
+                first[i % 2].get_or_insert_with(|| (terms, routers.clone()));
+            assert_eq!(
+                terms, *first_terms,
+                "request {i}: a cold build must not carry earlier builds' terms"
+            );
+            assert_eq!(routers, *first_routers, "request {i}");
+        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!
 //! - **Warm sessions** ([`pool`]): topology, synthesized configuration,
 //!   base term context, and the shared [`EncodeCache`] persist across
-//!   requests keyed by `(topology, spec hash)`, guarded by a route-map
-//!   fingerprint and LRU-evicted. Repeat requests skip synthesis and the
-//!   cache build entirely.
+//!   requests keyed by `(topology, spec hash)` and LRU-evicted. Repeat
+//!   requests skip synthesis and the cache build entirely; a cold build
+//!   starts from a fresh context and shares nothing with other keys.
 //! - **Admission control** ([`queue`]): a bounded queue between
 //!   connections and workers; overload sheds typed (NX801) at admission
 //!   instead of queueing unboundedly.

@@ -71,7 +71,8 @@ pub fn draining() -> Error {
     }
 }
 
-/// NX806: a warm-session pool entry failed its health check.
+/// NX806: the armed `serve.evict` fault discarded the warm-session pool
+/// entry this request acquired.
 pub fn pool_failure(detail: impl std::fmt::Display) -> Error {
     Error::Serve {
         code: "NX806".into(),

@@ -213,19 +213,6 @@ pub struct PatchStats {
     pub recomputed: u64,
 }
 
-/// A stable fingerprint of a concrete configuration, computed over its
-/// canonical rendering ([`NetworkConfig::render`](netexpl_bgp::NetworkConfig::render)).
-/// `netexpl serve` keys its warm-session pool on this: a pooled
-/// [`EncodeCache`] is only reused when the route maps it was built from
-/// fingerprint identically, so a changed synthesis result can never replay
-/// stale crossings.
-pub fn config_fingerprint(topo: &Topology, config: &netexpl_bgp::NetworkConfig) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    config.render(topo).hash(&mut hasher);
-    hasher.finish()
-}
-
 impl EncodeCache {
     /// Enumerate every propagation path of the concrete network once,
     /// recording all session crossings. `ctx` becomes the base context

@@ -288,4 +288,44 @@ grep -q 'error\[NX804\]' "$OBS_DIR/serve-fault.err"
 wait "$SERVE_PID"
 grep -q 'drained' "$OBS_DIR/serve.log"
 
+echo "==> serve memory smoke: alternating cold builds keep the peak bounded"
+# One pool slot and two specs in turn: every request evicts the other
+# spec's session and builds cold. Each cold build starts from a fresh term
+# context, so the server's peak resident set must stay flat instead of
+# growing with the number of builds.
+cat > "$OBS_DIR/ring-a.txt" <<'EOF'
+// @originate Pa 200.7.0.0/16
+// @originate Pb 201.0.0.0/16
+dest D1 = 200.7.0.0/16
+dest D2 = 201.0.0.0/16
+Req1 {
+  !(Pa -> ... -> Pb)
+  !(Pb -> ... -> Pa)
+}
+EOF
+{ cat "$OBS_DIR/ring-a.txt"; printf 'Req2 {\n  R0 ~> D2\n}\n'; } > "$OBS_DIR/ring-b.txt"
+./target/release/netexpl serve --workers 1 --pool 1 > "$OBS_DIR/serve-mem.log" 2>&1 &
+MEM_PID=$!
+trap 'kill "$SERVE_PID" "$MEM_PID" 2> /dev/null || true; rm -rf "$OBS_DIR"' EXIT
+for _ in $(seq 1 100); do
+  grep -q 'listening on ' "$OBS_DIR/serve-mem.log" && break
+  sleep 0.1
+done
+MEM_ADDR="$(sed -n 's/^listening on //p' "$OBS_DIR/serve-mem.log" | head -1)"
+[ -n "$MEM_ADDR" ] \
+  || { echo "serve printed no listening line"; cat "$OBS_DIR/serve-mem.log"; exit 1; }
+for i in $(seq 1 20); do
+  if [ $((i % 2)) -eq 1 ]; then spec="$OBS_DIR/ring-a.txt"; else spec="$OBS_DIR/ring-b.txt"; fi
+  ./target/release/netexpl request --addr "$MEM_ADDR" --op explain --topology ring:6 \
+      --spec "$spec" --skip-lift > "$OBS_DIR/serve-mem.json"
+  grep -q '"warm": false' "$OBS_DIR/serve-mem.json" \
+    || { echo "serve memory smoke: request $i was not a cold build"; exit 1; }
+done
+hwm_kb="$(awk '/^VmHWM:/ { print $2 }' "/proc/$MEM_PID/status")"
+./target/release/netexpl request --addr "$MEM_ADDR" --op shutdown > /dev/null
+wait "$MEM_PID"
+echo "serve peak RSS after 20 cold builds: $((hwm_kb / 1024)) MiB (limit 128 MiB)"
+[ "$hwm_kb" -le $((128 * 1024)) ] \
+  || { echo "serve peak RSS over the 128 MiB limit"; exit 1; }
+
 echo "==> OK"
