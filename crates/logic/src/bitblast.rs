@@ -3,11 +3,13 @@
 //! Enumeration variables are one-hot encoded (one boolean per variant plus
 //! an exactly-one side constraint); bounded integer variables are binary
 //! encoded as offsets from their lower bound (with a range side constraint).
-//! Comparisons against constants become comparator circuits; comparisons
-//! between two variables are expanded by enumerating the smaller domain —
-//! the classic finite-domain technique, and cheap at the domain sizes that
-//! arise in BGP policy encodings (attributes, actions, a few dozen
-//! local-preference candidates).
+//! Integer comparisons become comparator circuits whose size grows with the
+//! bit width, never with the domain: against a constant, the circuit is
+//! specialised per constant bit; between two variables, `=` is bitwise `↔`
+//! and `≤`/`<` is an LSB-to-MSB ripple over both bit vectors. The two
+//! offsets of a var–var atom are first aligned to the smaller lower bound
+//! (a constant adder on the operand with the larger one) and padded to a
+//! common width, so one circuit serves every pair of ranges.
 //!
 //! The result of lowering is a boolean term mentioning only [`TermNode::BoolVar`]s,
 //! suitable for [`crate::cnf`] conversion, together with side constraints and
@@ -93,9 +95,9 @@ impl BitBlaster {
     }
 
     /// Decode the theory variables' values from a boolean model, queried via
-    /// `bool_value` on the encoding booleans' variable ids. Returns `None`
-    /// for an enum variable whose one-hot block is all-false (can only
-    /// happen if side constraints were not asserted).
+    /// `bool_value` on the encoding booleans' variable ids. An enum variable
+    /// whose one-hot block is all-false (possible only if the side
+    /// constraints were not asserted) is left unset.
     pub fn decode(&self, ctx: &Ctx, bool_value: &dyn Fn(VarId) -> bool) -> Assignment {
         let mut asg = Assignment::new();
         for (&var, bits) in &self.enum_bits {
@@ -221,10 +223,9 @@ impl BitBlaster {
                 eq_const(ctx, &bits, (c - lo) as u64)
             }
             (TermNode::IntVar(va), TermNode::IntVar(vb)) => {
-                self.expand_var_var(ctx, va, vb, |ctx, x, c| {
-                    let cc = ctx.int_const(c);
-                    ctx.eq(x, cc)
-                })
+                let (xs, ys) = self.aligned_pair(ctx, va, vb);
+                let same: Vec<TermId> = xs.iter().zip(&ys).map(|(&x, &y)| ctx.iff(x, y)).collect();
+                ctx.and(&same)
             }
             _ => unreachable!("eq over unsupported operands"),
         }
@@ -260,52 +261,65 @@ impl BitBlaster {
                 ctx.not(le)
             }
             (TermNode::IntVar(va), TermNode::IntVar(vb)) => {
-                self.expand_var_var(ctx, va, vb, |ctx, x, c| {
-                    // x OP c with the enumerated value c of the smaller-domain var.
-                    let cc = ctx.int_const(c);
-                    if strict {
-                        ctx.lt(x, cc)
-                    } else {
-                        ctx.le(x, cc)
-                    }
-                })
+                // LSB→MSB; acc is "the bits below i satisfy OP", which equal
+                // numbers do for ≤ but not for <.
+                let (xs, ys) = self.aligned_pair(ctx, va, vb);
+                let mut acc = ctx.mk_bool(!strict);
+                for (&x, &y) in xs.iter().zip(&ys) {
+                    let nx = ctx.not(x);
+                    let below = ctx.and2(nx, y);
+                    let same = ctx.iff(x, y);
+                    let carried = ctx.and2(same, acc);
+                    acc = ctx.or2(below, carried);
+                }
+                acc
             }
             _ => unreachable!("comparison over unsupported operands"),
         }
     }
 
-    /// Expand a var-var atom by enumerating the smaller domain:
-    /// `a OP b  ≡  ⋁_{c ∈ dom(b)} (b = c ∧ a OP c)` (or symmetrically).
-    /// `atom(ctx, other_var_term, c)` builds `other OP c` for the
-    /// *first* operand; orientation is handled by the caller via closure.
-    fn expand_var_var(
-        &mut self,
-        ctx: &mut Ctx,
-        va: VarId,
-        vb: VarId,
-        atom: impl Fn(&mut Ctx, TermId, i64) -> TermId,
-    ) -> TermId {
-        let (blo, bhi) = match ctx.var(vb).sort {
-            Sort::Int { lo, hi } => (lo, hi),
-            _ => unreachable!(),
-        };
-        let a_term = self.var_term(ctx, va);
-        let b_term = self.var_term(ctx, vb);
-        let mut disjuncts = Vec::with_capacity((bhi - blo + 1) as usize);
-        for c in blo..=bhi {
-            let cc = ctx.int_const(c);
-            let b_eq = ctx.eq(b_term, cc);
-            let b_eq_low = self.lower(ctx, b_eq);
-            let a_op = atom(ctx, a_term, c);
-            let a_op_low = self.lower(ctx, a_op);
-            disjuncts.push(ctx.and2(b_eq_low, a_op_low));
+    /// The offset encodings of two int variables, rebased to the smaller
+    /// lower bound so that equal bit vectors mean equal values: the operand
+    /// with the larger lower bound gets the difference added, and the
+    /// shorter vector is padded with `false`.
+    fn aligned_pair(&mut self, ctx: &mut Ctx, va: VarId, vb: VarId) -> (Vec<TermId>, Vec<TermId>) {
+        let (mut xs, lo_a, _) = self.int_encoding(ctx, va);
+        let (mut ys, lo_b, _) = self.int_encoding(ctx, vb);
+        if lo_a > lo_b {
+            xs = add_const(ctx, &xs, lo_a.abs_diff(lo_b));
+        } else if lo_b > lo_a {
+            ys = add_const(ctx, &ys, lo_a.abs_diff(lo_b));
         }
-        ctx.or(&disjuncts)
+        let width = xs.len().max(ys.len());
+        let f = ctx.mk_false();
+        xs.resize(width, f);
+        ys.resize(width, f);
+        (xs, ys)
     }
+}
 
-    fn var_term(&mut self, ctx: &mut Ctx, v: VarId) -> TermId {
-        ctx.term_for_var(v)
+/// `bits + value` for a constant (bits LSB-first), as a ripple-carry adder
+/// one bit wider than the wider operand, so the sum cannot overflow.
+fn add_const(ctx: &mut Ctx, bits: &[TermId], value: u64) -> Vec<TermId> {
+    let width = bits.len().max(64 - value.leading_zeros() as usize) + 1;
+    let f = ctx.mk_false();
+    let mut carry = f;
+    let mut rest = value;
+    let mut sum = Vec::with_capacity(width);
+    for i in 0..width {
+        let b = bits.get(i).copied().unwrap_or(f);
+        let same = ctx.iff(b, carry);
+        if rest & 1 == 1 {
+            // b + 1 + carry: the sum bit is b ↔ carry; either one carries.
+            sum.push(same);
+            carry = ctx.or2(b, carry);
+        } else {
+            sum.push(ctx.not(same));
+            carry = ctx.and2(b, carry);
+        }
+        rest >>= 1;
     }
+    sum
 }
 
 /// `bits == value` for a constant (bits LSB-first).
@@ -483,38 +497,110 @@ mod tests {
         assert_eq!(agree, 4, "2x2 variant combinations");
     }
 
-    #[test]
-    fn int_var_var_le() {
+    /// The var–var comparisons: name, term constructor, integer meaning.
+    type Cmp = (
+        &'static str,
+        fn(&mut Ctx, TermId, TermId) -> TermId,
+        fn(i64, i64) -> bool,
+    );
+    const CMPS: [Cmp; 3] = [
+        ("=", Ctx::eq, |a, b| a == b),
+        ("<=", Ctx::le, |a, b| a <= b),
+        ("<", Ctx::lt, |a, b| a < b),
+    ];
+
+    /// Exhaustively check every comparison between `x ∈ [xlo, xhi]` and
+    /// `y ∈ [ylo, yhi]`, in both operand orders, against integer evaluation:
+    /// every in-range bit pattern is decoded, and every value pair is
+    /// reached exactly once.
+    fn check_var_var(xlo: i64, xhi: i64, ylo: i64, yhi: i64) {
         let mut ctx = Ctx::new();
-        let x = ctx.int_var("x", 0, 3);
-        let y = ctx.int_var("y", 1, 4);
-        let atom = ctx.le(x, y);
+        let x = ctx.int_var("x", xlo, xhi);
+        let y = ctx.int_var("y", ylo, yhi);
         let mut bb = BitBlaster::new();
-        let lowered = bb.lower(&mut ctx, atom);
+        let mut lowered = Vec::new();
+        for (name, build, holds) in CMPS {
+            for swapped in [false, true] {
+                let atom = if swapped {
+                    build(&mut ctx, y, x)
+                } else {
+                    build(&mut ctx, x, y)
+                };
+                lowered.push((name, holds, swapped, bb.lower(&mut ctx, atom)));
+            }
+        }
         let sides = bb.take_side_constraints();
         let side_conj = ctx.and(&sides);
-        let mut vars = ctx.free_vars(lowered);
-        vars.extend(ctx.free_vars(side_conj));
+        let mut vars = ctx.free_vars(side_conj);
+        for &(.., t) in &lowered {
+            vars.extend(ctx.free_vars(t));
+        }
         vars.sort();
         vars.dedup();
-        let mut count = 0;
-        Assignment::for_all_assignments(&ctx, &vars, 1 << 14, |asg| {
+
+        let mut pairs = 0;
+        Assignment::for_all_assignments(&ctx, &vars, 1 << 16, |asg| {
             if asg.eval_bool(&ctx, side_conj) != Some(true) {
-                return;
+                return; // out-of-range bit pattern
             }
             let decoded = bb.decode(&ctx, &|v| {
                 asg.get(v).and_then(|val| val.as_bool()).unwrap_or(false)
             });
             let xv = decoded.get(VarId(0)).unwrap().as_int().unwrap();
             let yv = decoded.get(VarId(1)).unwrap().as_int().unwrap();
-            assert_eq!(
-                asg.eval_bool(&ctx, lowered),
-                Some(xv <= yv),
-                "x={xv} y={yv}"
-            );
-            count += 1;
+            assert!((xlo..=xhi).contains(&xv) && (ylo..=yhi).contains(&yv));
+            for &(name, holds, swapped, t) in &lowered {
+                let (a, b) = if swapped { (yv, xv) } else { (xv, yv) };
+                assert_eq!(
+                    asg.eval_bool(&ctx, t),
+                    Some(holds(a, b)),
+                    "{a} {name} {b} over x∈[{xlo},{xhi}], y∈[{ylo},{yhi}]"
+                );
+            }
+            pairs += 1;
         });
-        assert_eq!(count, 16);
+        assert_eq!(
+            pairs,
+            (xhi - xlo + 1) * (yhi - ylo + 1),
+            "every value pair once"
+        );
+    }
+
+    #[test]
+    fn int_var_var_lowering() {
+        let ranges = [
+            ((2, 6), (2, 6)),     // equal ranges
+            ((0, 3), (1, 4)),     // y's lower bound is larger
+            ((5, 9), (0, 2)),     // x's lower bound is larger
+            ((-3, 2), (0, 4)),    // negative lower bound
+            ((0, 0), (7, 7)),     // singletons
+            ((7, 7), (5, 9)),     // a singleton inside the other range
+            ((0, 12), (0, 3)),    // different widths
+            ((0, 200), (0, 200)), // `Vocabulary::lp_bounds`
+        ];
+        for ((xlo, xhi), (ylo, yhi)) in ranges {
+            check_var_var(xlo, xhi, ylo, yhi);
+        }
+    }
+
+    /// A var–var atom over the local-preference domain [0, 200] is a circuit
+    /// of a few gates per bit, not one comparator per domain value.
+    #[test]
+    fn int_var_var_circuits_are_linear_in_width() {
+        for (name, build, _) in CMPS {
+            let mut ctx = Ctx::new();
+            let x = ctx.int_var("x", 0, 200);
+            let y = ctx.int_var("y", 0, 200);
+            let atom = build(&mut ctx, x, y);
+            let lowered = BitBlaster::new().lower(&mut ctx, atom);
+            let mut cnf = crate::cnf::CnfBuilder::new();
+            assert!(cnf.assert_term(&ctx, lowered));
+            let clauses = cnf.finish().clauses.len();
+            assert!(
+                clauses <= 16 * 8,
+                "x {name} y: {clauses} clauses over 8 bits"
+            );
+        }
     }
 
     #[test]

@@ -139,15 +139,6 @@ impl Ctx {
         self.intern(TermNode::IntVar(v))
     }
 
-    /// The term referring to an already-declared variable.
-    pub fn term_for_var(&mut self, v: VarId) -> TermId {
-        match self.var(v).sort {
-            Sort::Bool => self.intern(TermNode::BoolVar(v)),
-            Sort::Int { .. } => self.intern(TermNode::IntVar(v)),
-            Sort::Enum(_) => self.intern(TermNode::EnumVar(v)),
-        }
-    }
-
     // ---- accessors --------------------------------------------------------
 
     /// The node behind a term id.

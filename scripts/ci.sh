@@ -328,4 +328,17 @@ echo "serve peak RSS after 20 cold builds: $((hwm_kb / 1024)) MiB (limit 128 MiB
 [ "$hwm_kb" -le $((128 * 1024)) ] \
   || { echo "serve peak RSS over the 128 MiB limit"; exit 1; }
 
+echo "==> CNF-size gate: ring:6 synthesis bit-blasts to a linear-size CNF"
+# Var–var local-preference comparisons are O(width) circuits. Lowering them
+# by enumerating their [0, 200] domain instead reads ~119k clauses here.
+# The count is deterministic: it depends on the encoding, not the machine.
+./target/release/netexpl synth --topology ring:6 --spec "$OBS_DIR/ring-b.txt" \
+    --trace=json > /dev/null 2> "$OBS_DIR/synth-trace.jsonl"
+clauses="$(grep '"name":"smt.check"' "$OBS_DIR/synth-trace.jsonl" \
+    | grep -o '"cnf_clauses":[0-9]*' | grep -o '[0-9]*$' | head -1 || true)"
+[ -n "$clauses" ] || { echo "no smt.check span with cnf_clauses in the trace"; exit 1; }
+echo "ring:6 synthesis CNF: $clauses clauses (limit 20000)"
+[ "$clauses" -le 20000 ] \
+  || { echo "synthesis CNF over the 20000-clause limit"; exit 1; }
+
 echo "==> OK"

@@ -28,6 +28,9 @@ enum F {
     BoolVar(u8),
     EnumEq(u8, u8),
     IntLe(u8, i8),
+    /// `i0 = i1`, `i0 ≤ i1` or `i0 < i1` (by the first field mod 3), with
+    /// the operands swapped when the flag is set.
+    IntCmp(u8, bool),
     Not(Box<F>),
     And(Box<F>, Box<F>),
     Or(Box<F>, Box<F>),
@@ -38,6 +41,7 @@ fn arb_f() -> impl Strategy<Value = F> {
         (0u8..2).prop_map(F::BoolVar),
         (0u8..2, 0u8..3).prop_map(|(v, c)| F::EnumEq(v, c)),
         (0u8..2, 0i8..6).prop_map(|(v, c)| F::IntLe(v, c)),
+        (0u8..3, proptest::bool::ANY).prop_map(|(op, swap)| F::IntCmp(op, swap)),
     ];
     leaf.prop_recursive(3, 16, 2, |inner| {
         prop_oneof![
@@ -78,7 +82,9 @@ impl Vars {
         Vars {
             bools: [ctx.bool_var("b0"), ctx.bool_var("b1")],
             enums: [ctx.enum_var("e0", sort), ctx.enum_var("e1", sort)],
-            ints: [ctx.int_var("i0", 0, 5), ctx.int_var("i1", 0, 5)],
+            // Shifted ranges, so var–var atoms are lowered across
+            // different lower bounds.
+            ints: [ctx.int_var("i0", 0, 5), ctx.int_var("i1", 2, 7)],
             sort,
         }
     }
@@ -93,6 +99,18 @@ impl Vars {
             F::IntLe(v, c) => {
                 let cv = ctx.int_const(*c as i64);
                 ctx.le(self.ints[*v as usize % 2], cv)
+            }
+            F::IntCmp(op, swap) => {
+                let [a, b] = if *swap {
+                    [self.ints[1], self.ints[0]]
+                } else {
+                    self.ints
+                };
+                match op % 3 {
+                    0 => ctx.eq(a, b),
+                    1 => ctx.le(a, b),
+                    _ => ctx.lt(a, b),
+                }
             }
             F::Not(a) => {
                 let a = self.build(ctx, a);
