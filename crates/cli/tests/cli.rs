@@ -32,6 +32,56 @@ Connectivity {
 }
 ";
 
+/// network-diff's ring spec with its reachability block: the `ring-b.txt`
+/// variant `scripts/ci.sh` writes for its serve memory smoke and CNF-size
+/// gate.
+const RING_SPEC: &str = "\
+// @originate Pa 200.7.0.0/16
+// @originate Pb 201.0.0.0/16
+dest D1 = 200.7.0.0/16
+dest D2 = 201.0.0.0/16
+Req1 {
+  !(Pa -> ... -> Pb)
+  !(Pb -> ... -> Pa)
+}
+Req2 {
+  R0 ~> D2
+}
+";
+
+/// `synth` prints exactly the pinned configurations. A change that moves a
+/// synthesized configuration re-pins the file under `tests/expected/` and
+/// says why the new configuration is valid.
+#[test]
+fn synth_output_matches_pinned_configurations() {
+    for (topology, contents, expected) in [
+        ("paper", SPEC, include_str!("expected/synth-paper.txt")),
+        (
+            "ring:6",
+            RING_SPEC,
+            include_str!("expected/synth-ring6.txt"),
+        ),
+    ] {
+        let spec = spec_file(&format!("golden-{}", topology.replace(':', "-")), contents);
+        let out = netexpl()
+            .args([
+                "synth",
+                "--topology",
+                topology,
+                "--spec",
+                spec.to_str().unwrap(),
+            ])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(String::from_utf8_lossy(&out.stdout), expected, "{topology}");
+    }
+}
+
 #[test]
 fn synth_prints_config() {
     let spec = spec_file("synth", SPEC);
@@ -275,12 +325,17 @@ fn explain_trace_json_emits_one_span_per_pipeline_stage() {
     // stderr is JSON-lines; count the spans per stage.
     let stderr = String::from_utf8_lossy(&out.stderr);
     let mut names: Vec<String> = Vec::new();
+    let mut synthesis_queries = 0;
     for line in stderr.lines().filter(|l| !l.trim().is_empty()) {
         let v: serde_json::Value = serde_json::from_str(line).unwrap_or_else(|e| {
             panic!("bad trace line `{line}`: {e}");
         });
         if v["type"].as_str() == Some("span") {
-            names.push(v["name"].as_str().unwrap().to_string());
+            let name = v["name"].as_str().unwrap();
+            if name == "session.query" && v["attrs"]["origin"].as_str() == Some("synthesize") {
+                synthesis_queries += 1;
+            }
+            names.push(name.to_string());
         }
     }
     for stage in ["symbolize", "seed", "simplify", "lift", "explain"] {
@@ -290,12 +345,14 @@ fn explain_trace_json_emits_one_span_per_pipeline_stage() {
             "expected exactly one `{stage}` span in {names:?}"
         );
     }
+    // The synthesis solve is one session query, attributed to synthesis.
+    assert_eq!(synthesis_queries, 1, "{stderr}");
 
     // The metrics file parses and round-trips through `obs-check`.
     let metrics_text = std::fs::read_to_string(&metrics).expect("metrics file written");
     let m: serde_json::Value = serde_json::from_str(&metrics_text).expect("valid metrics json");
     assert!(
-        m["counters"]["smt.queries"].as_u64().unwrap() > 0,
+        m["counters"]["session.queries"].as_u64().unwrap() > 0,
         "{metrics_text}"
     );
 
@@ -652,7 +709,7 @@ fn profile_requires_exactly_one_workload() {
 #[test]
 fn unknown_fault_sites_are_rejected() {
     let spec = spec_file("faultsite", SPEC);
-    for site in ["no.such.site", "lift.shard"] {
+    for site in ["no.such.site", "lift.shard", "smt.check"] {
         let out = netexpl()
             .env("NETEXPL_FAULT", site)
             .args([

@@ -83,7 +83,7 @@ use netexpl_logic::budget::{Budget, Interrupt, InterruptReason};
 use netexpl_logic::model::{Assignment, Evaluator};
 use netexpl_logic::session::SmtSession;
 use netexpl_logic::simplify::Simplifier;
-use netexpl_logic::solver::{entails_under, SmtResult, SmtSolver};
+use netexpl_logic::solver::{entails_under, SmtResult};
 use netexpl_logic::term::{Ctx, TermId};
 use netexpl_spec::{PathPattern, Requirement, Seg, Specification, SubSpec};
 use netexpl_topology::{Prefix, RouterId, RouterKind, Topology};
@@ -259,9 +259,9 @@ impl Witnesses {
 /// simplified `defs` once, carries learned clauses from candidate to
 /// candidate, and decides what it can from cached witnesses.
 enum Checker {
-    /// One fresh [`SmtSolver`] per query over the raw `defs` (the
-    /// pre-session behaviour, kept for ablation and as the unfiltered,
-    /// unsimplified differential oracle).
+    /// One fresh [`SmtSession`] per query over the raw `defs`: no state
+    /// carried between queries, no model filter and no simplification,
+    /// kept as the differential oracle.
     Fresh {
         defs: TermId,
         seed_conj: TermId,
@@ -289,7 +289,7 @@ impl Checker {
         }
         let base = simplify_defs(ctx, defs, &options.budget);
         let mut session = Box::new(SmtSession::new());
-        session.assert(ctx, base);
+        session.assert(ctx, &[base]);
         session.set_budget(options.budget.clone());
         Checker::Session {
             session,
@@ -368,12 +368,11 @@ impl Checker {
     ) -> Vec<usize> {
         match self {
             Checker::Fresh { defs, budget, .. } => {
-                let mut solver = SmtSolver::new();
-                solver.set_budget(budget.clone());
-                solver.assert(*defs);
                 let neg = ctx.not(cand);
-                solver.assert(neg);
-                solver.check_assuming(ctx, req_groups).1
+                let mut session = SmtSession::new();
+                session.set_budget(budget.clone());
+                session.assert(ctx, &[*defs, neg]);
+                session.check_assuming(ctx, req_groups).1
             }
             Checker::Session { session, .. } => {
                 // ¬cand rides along as the last assumption; indices beyond
@@ -1123,7 +1122,7 @@ mod option_tests {
         );
 
         let (guard, handle) = netexpl_obs::install_memory();
-        SmtSession::new().assert(&mut ctx, seed.def_conjunction);
+        SmtSession::new().assert(&mut ctx, &[seed.def_conjunction]);
         drop(guard);
         let raw = handle.spans_named("session.assert");
         assert_eq!(raw.len(), 1);

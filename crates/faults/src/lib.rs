@@ -1,6 +1,6 @@
 //! Deterministic fault injection for robustness testing.
 //!
-//! A *fault site* is a named point in the pipeline (e.g. `smt.check`) where
+//! A *fault site* is a named point in the pipeline (e.g. `sat.search`) where
 //! production code asks [`triggered`] whether an injected fault should fire.
 //! Sites are armed in three ways, with two scopes:
 //!
@@ -28,8 +28,6 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// All injection points wired into the pipeline, in pipeline order.
 pub mod sites {
-    /// Force the SMT layer to report `Unknown` instead of solving.
-    pub const SMT_CHECK: &str = "smt.check";
     /// Interrupt the CDCL search loop at its first budget checkpoint.
     pub const SAT_SEARCH: &str = "sat.search";
     /// Interrupt the DPLL oracle before it descends.
@@ -62,7 +60,6 @@ pub mod sites {
 
     /// Every site, for exhaustive injection matrices.
     pub const ALL: &[&str] = &[
-        SMT_CHECK,
         SAT_SEARCH,
         DPLL_SEARCH,
         ENCODE_PATHS,
@@ -237,8 +234,8 @@ mod tests {
 
     #[test]
     fn unarmed_sites_do_not_trigger() {
-        let _g = arm(sites::SMT_CHECK);
-        assert!(triggered(sites::SMT_CHECK));
+        let _g = arm(sites::SESSION_QUERY);
+        assert!(triggered(sites::SESSION_QUERY));
         assert!(!triggered(sites::SAT_SEARCH));
     }
 

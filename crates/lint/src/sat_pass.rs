@@ -223,7 +223,7 @@ fn lint_map(
     // entry probe rides on it as an assumption query, so learned clauses from
     // earlier entries prune the search for later ones.
     let mut session = SmtSession::new();
-    session.assert(ctx, route.domain);
+    session.assert(ctx, &[route.domain]);
 
     for (i, &m_i) in match_terms.iter().enumerate() {
         let e = &map.entries[i];

@@ -595,7 +595,7 @@ mod tests {
             let lowered = BitBlaster::new().lower(&mut ctx, atom);
             let mut cnf = crate::cnf::CnfBuilder::new();
             assert!(cnf.assert_term(&ctx, lowered));
-            let clauses = cnf.finish().clauses.len();
+            let clauses = cnf.take_new_clauses().len();
             assert!(
                 clauses <= 16 * 8,
                 "x {name} y: {clauses} clauses over 8 bits"

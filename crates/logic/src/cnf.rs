@@ -10,24 +10,6 @@ use std::collections::HashMap;
 use crate::sat::Lit;
 use crate::term::{Ctx, TermId, TermNode, VarId};
 
-/// The result of CNF conversion.
-#[derive(Debug, Default, Clone)]
-pub struct Cnf {
-    /// Clauses over SAT variable indices.
-    pub clauses: Vec<Vec<Lit>>,
-    /// Total number of SAT variables (inputs + Tseitin definitions).
-    pub num_vars: usize,
-    /// SAT variable index of each term-level boolean variable that occurs.
-    pub var_map: HashMap<VarId, usize>,
-}
-
-impl Cnf {
-    /// The SAT variable for a term-level variable, if it occurs.
-    pub fn sat_var(&self, v: VarId) -> Option<usize> {
-        self.var_map.get(&v).copied()
-    }
-}
-
 /// A literal during encoding: either a constant or a real literal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ELit {
@@ -47,16 +29,18 @@ impl ELit {
 /// Incremental Tseitin encoder. Multiple roots can be encoded into the same
 /// CNF (sharing definitions), then each asserted or used as an assumption.
 ///
-/// A builder is used in exactly one of two ways, never both: drained
-/// ([`CnfBuilder::take_new_clauses`] after every encoding step, as an
-/// incremental [`crate::session::SmtSession`] does) or finished
-/// ([`CnfBuilder::finish`] once, as the one-shot
-/// [`crate::solver::SmtSolver`] does). Draining hands the clauses over, so
-/// a drained builder keeps only its variable map and memo, and finishing
-/// it would return just the clauses emitted since the last drain.
+/// Emitted clauses are drained with [`CnfBuilder::take_new_clauses`] after
+/// every encoding step, as [`crate::session::SmtSession`] does. Draining
+/// hands the clauses over, so a drained builder keeps only its variable
+/// map and memo.
 #[derive(Debug, Default)]
 pub struct CnfBuilder {
-    cnf: Cnf,
+    /// Clauses over SAT variable indices emitted since the last drain.
+    clauses: Vec<Vec<Lit>>,
+    /// Total number of SAT variables (inputs + Tseitin definitions).
+    num_vars: usize,
+    /// SAT variable index of each term-level boolean variable that occurs.
+    var_map: HashMap<VarId, usize>,
     memo: HashMap<TermId, ELit>,
 }
 
@@ -72,7 +56,7 @@ impl CnfBuilder {
         match self.encode(ctx, t) {
             ELit::Const(b) => b,
             ELit::Lit(l) => {
-                self.cnf.clauses.push(vec![l]);
+                self.clauses.push(vec![l]);
                 true
             }
         }
@@ -87,24 +71,14 @@ impl CnfBuilder {
         }
     }
 
-    /// Finish and return the CNF (for a builder that was never drained).
-    pub fn finish(self) -> Cnf {
-        self.cnf
-    }
-
     /// Total SAT variables allocated so far (inputs + Tseitin definitions).
     pub fn num_vars(&self) -> usize {
-        self.cnf.num_vars
-    }
-
-    /// The SAT variable for a term-level variable, if it occurs.
-    pub fn sat_var(&self, v: VarId) -> Option<usize> {
-        self.cnf.sat_var(v)
+        self.num_vars
     }
 
     /// The term-variable → SAT-variable map built so far.
     pub fn var_map(&self) -> &HashMap<VarId, usize> {
-        &self.cnf.var_map
+        &self.var_map
     }
 
     /// Hand over the clauses emitted since the last drain. An incremental
@@ -113,21 +87,21 @@ impl CnfBuilder {
     /// delta into its long-lived solver, so the builder never holds a
     /// second copy of the session's CNF.
     pub fn take_new_clauses(&mut self) -> Vec<Vec<Lit>> {
-        std::mem::take(&mut self.cnf.clauses)
+        std::mem::take(&mut self.clauses)
     }
 
     fn fresh(&mut self) -> Lit {
-        let v = self.cnf.num_vars;
-        self.cnf.num_vars += 1;
+        let v = self.num_vars;
+        self.num_vars += 1;
         Lit::pos(v)
     }
 
     fn input_var(&mut self, v: VarId) -> Lit {
-        if let Some(&sv) = self.cnf.var_map.get(&v) {
+        if let Some(&sv) = self.var_map.get(&v) {
             return Lit::pos(sv);
         }
         let l = self.fresh();
-        self.cnf.var_map.insert(v, l.var());
+        self.var_map.insert(v, l.var());
         l
     }
 
@@ -206,12 +180,12 @@ impl CnfBuilder {
                 let d = self.fresh();
                 // d → each lit
                 for &l in &real {
-                    self.cnf.clauses.push(vec![d.negated(), l]);
+                    self.clauses.push(vec![d.negated(), l]);
                 }
                 // all lits → d
                 let mut big: Vec<Lit> = real.iter().map(|l| l.negated()).collect();
                 big.push(d);
-                self.cnf.clauses.push(big);
+                self.clauses.push(big);
                 ELit::Lit(d)
             }
         }
@@ -230,10 +204,10 @@ impl CnfBuilder {
                     return ELit::Const(false);
                 }
                 let d = self.fresh();
-                self.cnf.clauses.push(vec![d.negated(), la.negated(), lb]);
-                self.cnf.clauses.push(vec![d.negated(), la, lb.negated()]);
-                self.cnf.clauses.push(vec![d, la, lb]);
-                self.cnf.clauses.push(vec![d, la.negated(), lb.negated()]);
+                self.clauses.push(vec![d.negated(), la.negated(), lb]);
+                self.clauses.push(vec![d.negated(), la, lb.negated()]);
+                self.clauses.push(vec![d, la, lb]);
+                self.clauses.push(vec![d, la.negated(), lb.negated()]);
                 ELit::Lit(d)
             }
         }
@@ -251,20 +225,19 @@ mod tests {
         if !b.assert_term(ctx, t) {
             return None;
         }
-        let cnf = b.finish();
         let mut s = SatSolver::new();
-        for _ in 0..cnf.num_vars {
+        for _ in 0..b.num_vars() {
             s.new_var();
         }
-        for c in &cnf.clauses {
-            if !s.add_clause(c) {
+        for c in b.take_new_clauses() {
+            if !s.add_clause(&c) {
                 return None;
             }
         }
         match s.solve() {
             SatResult::Sat(m) => {
                 let mut asg = Assignment::new();
-                for (&tv, &sv) in &cnf.var_map {
+                for (&tv, &sv) in b.var_map() {
                     asg.set(tv, Value::Bool(m[sv]));
                 }
                 Some(asg)
@@ -299,7 +272,7 @@ mod tests {
         let t = ctx.mk_true();
         let mut b = CnfBuilder::new();
         assert!(b.assert_term(&ctx, t));
-        assert!(b.finish().clauses.is_empty());
+        assert!(b.take_new_clauses().is_empty());
 
         let f = ctx.mk_false();
         let mut b2 = CnfBuilder::new();
@@ -332,9 +305,13 @@ mod tests {
         let f = ctx.or2(ab, ab);
         let mut builder = CnfBuilder::new();
         builder.assert_term(&ctx, f);
-        let cnf = builder.finish();
         // 2 inputs + 1 definition for ab (or of identical lits folds).
-        assert_eq!(cnf.num_vars, 3, "clauses: {:?}", cnf.clauses);
+        assert_eq!(
+            builder.num_vars(),
+            3,
+            "clauses: {:?}",
+            builder.take_new_clauses()
+        );
     }
 
     /// Draining hands each clause over exactly once: a second drain sees
@@ -362,7 +339,7 @@ mod tests {
         assert!(builder.define_term(&ctx, ab).is_ok());
         assert!(builder.take_new_clauses().is_empty());
         assert_eq!(builder.num_vars(), 5);
-        assert!(builder.finish().clauses.is_empty());
+        assert!(builder.take_new_clauses().is_empty());
     }
 
     mod prop {

@@ -172,8 +172,7 @@ impl Search<'_> {
                 match clause_status(assign, clause) {
                     ClauseStatus::Conflict => {
                         stats.conflicts += 1;
-                        let period = crate::sat::env_sample_period();
-                        if period > 0 && stats.conflicts.is_multiple_of(period) {
+                        if stats.conflicts.is_multiple_of(crate::sat::SAMPLE_PERIOD) {
                             netexpl_obs::sample(
                                 "dpll.timeline",
                                 &[

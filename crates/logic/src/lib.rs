@@ -27,24 +27,26 @@
 //! * [`sat`] — the CDCL solver (watched literals, VSIDS, Luby restarts).
 //! * [`dpll`] — a deliberately simple DPLL baseline used for testing and for
 //!   the solver-ablation benchmark.
-//! * [`solver`] — the user-facing [`solver::SmtSolver`] tying it all together.
-//! * [`session`] — the incremental [`session::SmtSession`]: encode once,
-//!   query many times under assumptions, learned clauses retained.
+//! * [`session`] — the SMT solver, [`session::SmtSession`], tying it all
+//!   together: encode once, query many times under assumptions, learned
+//!   clauses retained. A single check is a session with one query.
+//! * [`solver`] — query results, model decoding, and satisfiability,
+//!   entailment and equivalence helpers over a fresh session.
 //!
 //! ## Quick example
 //!
 //! ```
 //! use netexpl_logic::term::Ctx;
-//! use netexpl_logic::solver::{SmtSolver, SmtResult};
+//! use netexpl_logic::{SmtResult, SmtSession};
 //!
 //! let mut ctx = Ctx::new();
 //! let action = ctx.enum_sort("Action", &["permit", "deny"]);
 //! let a = ctx.enum_var("Var_Action", action);
 //! let deny = ctx.enum_const(action, 1);
 //! let f = ctx.eq(a, deny);
-//! let mut solver = SmtSolver::new();
-//! solver.assert(f);
-//! let model = match solver.check(&mut ctx) {
+//! let mut session = SmtSession::new();
+//! session.assert(&mut ctx, &[f]);
+//! let model = match session.check(&mut ctx) {
 //!     SmtResult::Sat(m) => m,
 //!     // Without a budget the solver is complete; `Unknown` only arises
 //!     // when a `Budget` bounds the search (see the [`budget`] module).
@@ -70,6 +72,6 @@ pub use budget::{Budget, CancelToken, Interrupt, InterruptReason};
 pub use model::Assignment;
 pub use session::SmtSession;
 pub use simplify::{RuleMask, Simplifier};
-pub use solver::{SmtResult, SmtSolver};
+pub use solver::SmtResult;
 pub use sort::{EnumSortId, Sort};
 pub use term::{Ctx, TermId, VarId};

@@ -3,7 +3,7 @@
 //! Conflict-driven clause learning with two-watched-literal propagation,
 //! VSIDS variable activity, first-UIP conflict analysis, non-chronological
 //! backjumping, Luby-sequence restarts, and solving under assumptions. This
-//! is the decision engine behind [`crate::solver::SmtSolver`]; the eager
+//! is the decision engine behind [`crate::session::SmtSession`]; the eager
 //! bit-blasting pipeline reduces every finite-domain formula in the
 //! workspace to the clause sets solved here.
 //!
@@ -14,13 +14,12 @@
 //! clauses.
 //!
 //! One industrial feature *is* included: learned-clause database reduction,
-//! keyed on literal block distance (LBD). A one-shot query never needs it,
-//! but [`crate::session::SmtSession`] keeps one solver alive across an
-//! entire lifting search, and the learned clauses retained between queries
-//! must not grow without bound. Reduction runs at restart boundaries
-//! (decision level 0), drops the weakest half of the long high-LBD learned
-//! clauses, and never drops a clause that is the reason for a currently
-//! assigned literal.
+//! keyed on literal block distance (LBD). A single query never needs it,
+//! but a session kept alive across an entire lifting search retains
+//! learned clauses between queries, and they must not grow without bound.
+//! Reduction runs at restart boundaries (decision level 0), drops the
+//! weakest half of the long high-LBD learned clauses, and never drops a
+//! clause that is the reason for a currently assigned literal.
 
 /// A literal: a variable index with a sign. Encoded as `var << 1 | sign`
 /// where sign 1 means negated.
@@ -197,27 +196,14 @@ pub struct SatSolver {
     last_core: Vec<Lit>,
     /// Resource bounds for `solve`; unlimited by default.
     budget: Budget,
-    /// Emit one introspection sample (via `netexpl_obs::sample`) every
-    /// this many conflicts; 0 disables. Defaults to
-    /// [`env_sample_period`].
-    sample_period: u64,
     /// Statistics for the current/last `solve` call.
     pub stats: SatStats,
 }
 
-/// The process-wide default sampling cadence, in conflicts: the
-/// `NETEXPL_SAMPLE_PERIOD` environment variable when set (0 disables),
-/// otherwise 256 — coarse enough to be free in hot loops, fine enough
-/// that multi-second queries show a usable timeline. Read once.
-pub fn env_sample_period() -> u64 {
-    static PERIOD: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *PERIOD.get_or_init(|| {
-        std::env::var("NETEXPL_SAMPLE_PERIOD")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(256)
-    })
-}
+/// Conflicts between two introspection samples (`sat.timeline`, and
+/// `dpll.timeline` from the DPLL oracle): coarse enough to be free in hot
+/// loops, fine enough that multi-second queries show a usable timeline.
+pub const SAMPLE_PERIOD: u64 = 256;
 
 const VAR_DECAY: f64 = 0.95;
 const RESCALE_LIMIT: f64 = 1e100;
@@ -244,7 +230,6 @@ impl Default for SatSolver {
             unsat: false,
             last_core: Vec::new(),
             budget: Budget::default(),
-            sample_period: env_sample_period(),
             stats: SatStats::default(),
         }
     }
@@ -792,8 +777,7 @@ impl SatSolver {
                 self.cancel_until(bt);
                 self.learn(learned, lbd);
                 self.decay_activities();
-                if self.sample_period > 0 && self.stats.conflicts.is_multiple_of(self.sample_period)
-                {
+                if self.stats.conflicts.is_multiple_of(SAMPLE_PERIOD) {
                     self.emit_timeline_sample();
                 }
                 if conflicts >= conflict_budget {
@@ -877,7 +861,7 @@ impl SatSolver {
     }
 
     /// One point of the solver introspection timeline, attached to the
-    /// enclosing obs span (the owning `session.query` or `smt.check`).
+    /// enclosing obs span (the owning `session.query`).
     /// No-op when no obs session is installed on this thread.
     fn emit_timeline_sample(&self) {
         let s = &self.stats;
@@ -900,11 +884,6 @@ impl SatSolver {
                 ("lbd_high", s.lbd_high as f64),
             ],
         );
-    }
-
-    /// Override the sampling cadence (conflicts per sample; 0 disables).
-    pub fn set_sample_period(&mut self, period: u64) {
-        self.sample_period = period;
     }
 
     fn learn(&mut self, learned: Vec<Lit>, lbd: u32) {

@@ -1,11 +1,11 @@
-//! Incremental SMT sessions: encode once, query many times.
+//! SMT sessions: encode once, query many times.
 //!
-//! [`SmtSession`] is the stateful counterpart of [`crate::solver::SmtSolver`]
-//! for *query streams* against a shared assertion base — the lifter issuing
-//! hundreds of entailment checks against the same `defs`, lint probing every
-//! entry of one route-map's domain, diverse synthesis enumerating models.
-//! The fresh solver re-bit-blasts, re-Tseitin-encodes, and re-searches from
-//! scratch on every call; a session pays each of those costs once:
+//! [`SmtSession`] is the workspace's one SMT solver. A single check is a
+//! session with one query (synthesis's main solve, the [`crate::solver`]
+//! helpers); *query streams* against a shared assertion base — the lifter
+//! issuing hundreds of entailment checks against the same `defs`, lint
+//! probing every entry of one route-map's domain, diverse synthesis
+//! enumerating models — keep one session alive and pay each cost once:
 //!
 //! - **Encode once.** A persistent [`BitBlaster`] and [`CnfBuilder`] are
 //!   kept for the session's lifetime. Both memoize per hash-consed
@@ -80,11 +80,6 @@ impl SmtSession {
         self.sat.num_clauses()
     }
 
-    /// Learned-clause database reductions performed so far.
-    pub fn reductions(&self) -> u64 {
-        self.sat.reductions()
-    }
-
     /// Tune the learned-clause count that triggers database reduction
     /// (0 disables). Exposed for tests; the default suits production.
     pub fn set_reduce_threshold(&mut self, n: usize) {
@@ -99,31 +94,20 @@ impl SmtSession {
         self.origin = Some(origin.into());
     }
 
-    /// Stop attributing queries (subsequent spans carry no `origin`).
-    pub fn clear_origin(&mut self) {
-        self.origin = None;
-    }
-
-    /// Override the CDCL introspection sampling cadence for this session's
-    /// solver (conflicts per sample; 0 disables).
-    pub fn set_sample_period(&mut self, period: u64) {
-        self.sat.set_sample_period(period);
-    }
-
-    /// Permanently assert `t`. Encoding cost is paid now (only for subterms
-    /// not already seen); the clauses stay for the session's lifetime.
-    /// Traced as a `session.assert` span carrying the encoding's size
-    /// afterwards, so that cost shows apart from the queries.
-    pub fn assert(&mut self, ctx: &mut Ctx, t: TermId) {
+    /// Permanently assert `terms`. Encoding cost is paid now (only for
+    /// subterms not already seen); the clauses stay for the session's
+    /// lifetime. Each term is lowered, its side constraints asserted, then
+    /// the term itself, in slice order, so one slice always encodes to the
+    /// same clauses over the same SAT variable numbering. Traced as one
+    /// `session.assert` span carrying the encoding's size afterwards, so
+    /// that cost shows apart from the queries.
+    pub fn assert(&mut self, ctx: &mut Ctx, terms: &[TermId]) {
         let span = Span::enter("session.assert");
-        let lowered = self.bb.lower(ctx, t);
-        for side in self.bb.take_side_constraints() {
-            if !self.builder.assert_term(ctx, side) {
+        for &t in terms {
+            let lowered = self.lower(ctx, t);
+            if !self.builder.assert_term(ctx, lowered) {
                 self.unsat = true;
             }
-        }
-        if !self.builder.assert_term(ctx, lowered) {
-            self.unsat = true;
         }
         self.flush();
         if span.is_recording() {
@@ -133,19 +117,25 @@ impl SmtSession {
     }
 
     /// Encode `t` (without asserting) and return its definition literal, or
-    /// `Err(constant)` when it folds. Side constraints introduced by the
-    /// theory encoding are asserted permanently — they are definitions of
-    /// the encoding, not part of any one query.
+    /// `Err(constant)` when it folds.
     fn literal(&mut self, ctx: &mut Ctx, t: TermId) -> Result<Lit, bool> {
+        let lowered = self.lower(ctx, t);
+        let lit = self.builder.define_term(ctx, lowered);
+        self.flush();
+        lit
+    }
+
+    /// Bit-blast `t` to a pure boolean term. Side constraints introduced by
+    /// the theory encoding are asserted permanently — they are definitions
+    /// of the encoding, not part of any one query.
+    fn lower(&mut self, ctx: &mut Ctx, t: TermId) -> TermId {
         let lowered = self.bb.lower(ctx, t);
         for side in self.bb.take_side_constraints() {
             if !self.builder.assert_term(ctx, side) {
                 self.unsat = true;
             }
         }
-        let lit = self.builder.define_term(ctx, lowered);
-        self.flush();
-        lit
+        lowered
     }
 
     /// Feed newly emitted CNF (variables and clauses) into the live solver.
@@ -181,7 +171,8 @@ impl SmtSession {
     /// the second component is an unsat core: indices into `assumptions`
     /// whose conjunction with the base is already unsatisfiable.
     ///
-    /// Mirrors [`crate::solver::SmtSolver::check_assuming`], but the base is
+    /// Assumption terms that are constant-false (or whose encoding folds to
+    /// false) are reported as singleton cores immediately. The base is
     /// encoded exactly once per session and the SAT solver carries learned
     /// clauses and branching activity from every earlier query.
     pub fn check_assuming(
@@ -311,7 +302,7 @@ impl SmtSession {
                 models.push(model);
                 break; // nothing to block on: one model is all there is
             };
-            self.assert(ctx, block);
+            self.assert(ctx, &[block]);
             models.push(model);
         }
         (models, None)
@@ -321,7 +312,6 @@ impl SmtSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::SmtSolver;
 
     #[test]
     fn session_matches_fresh_solver_on_basic_queries() {
@@ -331,7 +321,7 @@ mod tests {
         let ab = ctx.and2(a, b);
 
         let mut session = SmtSession::new();
-        session.assert(&mut ctx, ab);
+        session.assert(&mut ctx, &[ab]);
         // base ⊨ a, base ⊨ b, base ⊭ ¬a.
         assert_eq!(session.entails(&mut ctx, a), Ok(true));
         assert_eq!(session.entails(&mut ctx, b), Ok(true));
@@ -339,9 +329,11 @@ mod tests {
         assert_eq!(session.entails(&mut ctx, na), Ok(false));
         assert_eq!(session.queries(), 3);
 
-        let mut fresh = SmtSolver::new();
-        fresh.assert(ab);
-        assert!(!fresh.check_with(&mut ctx, &[na]).is_sat());
+        // A single check is a fresh session with one query.
+        let mut fresh = SmtSession::new();
+        fresh.assert(&mut ctx, &[ab]);
+        assert!(!fresh.check_assuming(&mut ctx, &[na]).0.is_sat());
+        assert_eq!(fresh.queries(), 1);
     }
 
     #[test]
@@ -350,7 +342,7 @@ mod tests {
         let a = ctx.bool_var("a");
         let na = ctx.not(a);
         let mut session = SmtSession::new();
-        session.assert(&mut ctx, a);
+        session.assert(&mut ctx, &[a]);
         let (r1, core) = session.check_assuming(&mut ctx, &[na]);
         assert_eq!(r1, SmtResult::Unsat);
         assert_eq!(core, vec![0]);
@@ -365,7 +357,7 @@ mod tests {
         let t = ctx.mk_true();
         let f = ctx.mk_false();
         let mut session = SmtSession::new();
-        session.assert(&mut ctx, a);
+        session.assert(&mut ctx, &[a]);
         // Constant-true assumption: no effect.
         let (r, _) = session.check_assuming(&mut ctx, &[t]);
         assert!(r.is_sat());
@@ -383,8 +375,8 @@ mod tests {
         let a = ctx.bool_var("a");
         let na = ctx.not(a);
         let mut session = SmtSession::new();
-        session.assert(&mut ctx, a);
-        session.assert(&mut ctx, na);
+        session.assert(&mut ctx, &[a]);
+        session.assert(&mut ctx, &[na]);
         assert_eq!(session.check(&mut ctx), SmtResult::Unsat);
         let b = ctx.bool_var("b");
         let (r, _) = session.check_assuming(&mut ctx, &[b]);
@@ -400,7 +392,7 @@ mod tests {
         let gt100 = ctx.gt(lp, hundred);
         let gt50 = ctx.gt(lp, fifty);
         let mut session = SmtSession::new();
-        session.assert(&mut ctx, gt100);
+        session.assert(&mut ctx, &[gt100]);
         // lp > 100 ⊨ lp > 50 but not the converse direction's strengthening.
         assert_eq!(session.entails(&mut ctx, gt50), Ok(true));
         let clauses_after_first = session.num_clauses();
@@ -423,7 +415,7 @@ mod tests {
         let nh = ctx.enum_const_named(attr, "NextHop");
         let eq = ctx.eq(v, nh);
         let mut session = SmtSession::new();
-        session.assert(&mut ctx, eq);
+        session.assert(&mut ctx, &[eq]);
         let model = session.check(&mut ctx).model().expect("sat");
         assert_eq!(model.eval_bool(&ctx, eq), Some(true));
     }
@@ -436,7 +428,7 @@ mod tests {
         let c0 = ctx.enum_const(s3, 0);
         let not_a = ctx.neq(v, c0);
         let mut session = SmtSession::new();
-        session.assert(&mut ctx, not_a);
+        session.assert(&mut ctx, &[not_a]);
         let (models, interrupt) = session.check_all(&mut ctx, &[v], 10);
         assert!(interrupt.is_none());
         assert_eq!(models.len(), 2, "v ∈ {{b, c}}");
@@ -452,7 +444,7 @@ mod tests {
         let b = ctx.bool_var("b");
         let ab = ctx.and2(a, b);
         let mut session = SmtSession::new();
-        session.assert(&mut ctx, ab);
+        session.assert(&mut ctx, &[ab]);
         assert_eq!(session.entails(&mut ctx, a), Ok(true));
         // Exhaust the budget between queries: the in-flight query must
         // answer Unknown without poisoning the session.
@@ -473,7 +465,7 @@ mod tests {
         let b = ctx.bool_var("b");
         let ab = ctx.and2(a, b);
         let mut session = SmtSession::new();
-        session.assert(&mut ctx, ab);
+        session.assert(&mut ctx, &[ab]);
         assert_eq!(session.entails(&mut ctx, a), Ok(true));
         {
             let _g = netexpl_faults::arm(netexpl_faults::sites::SESSION_QUERY);
@@ -492,7 +484,7 @@ mod tests {
         let ab = ctx.or2(a, b);
         let (guard, handle) = netexpl_obs::install_memory();
         let mut session = SmtSession::new();
-        session.assert(&mut ctx, ab);
+        session.assert(&mut ctx, &[ab]);
         assert_eq!(session.entails(&mut ctx, a), Ok(false));
         assert_eq!(session.entails(&mut ctx, ab), Ok(true));
         drop(guard);
@@ -502,7 +494,7 @@ mod tests {
         assert_eq!(handle.spans_named("session.query").len(), 2);
     }
 
-    /// Each assertion is its own `session.assert` span, sized like the
+    /// Each `assert` call is its own `session.assert` span, sized like the
     /// query spans: the CNF the session holds once the assertion is in.
     #[test]
     fn assert_emits_a_sized_span() {
@@ -515,8 +507,8 @@ mod tests {
         let bc = ctx.and2(b, c);
         let (guard, handle) = netexpl_obs::install_memory();
         let mut session = SmtSession::new();
-        session.assert(&mut ctx, ab);
-        session.assert(&mut ctx, bc);
+        session.assert(&mut ctx, &[ab]);
+        session.assert(&mut ctx, &[bc]);
         assert_eq!(session.entails(&mut ctx, c), Ok(true));
         drop(guard);
         let asserts = handle.spans_named("session.assert");
@@ -537,5 +529,39 @@ mod tests {
         assert_eq!(queries.len(), 1);
         assert_eq!(queries[0].parent, None);
         assert!(asserts.iter().all(|a| a.parent.is_none()));
+    }
+
+    /// Asserting a slice encodes exactly what asserting its terms one call
+    /// at a time does: the same variable count, the same stored clauses and
+    /// the same model, under a single span.
+    #[test]
+    fn slice_assert_encodes_like_one_term_at_a_time() {
+        let mut ctx = Ctx::new();
+        let lp = ctx.int_var("lp", 0, 200);
+        let lq = ctx.int_var("lq", 0, 200);
+        let b = ctx.bool_var("b");
+        let gt = ctx.gt(lp, lq);
+        let ten = ctx.int_const(10);
+        let small = ctx.le(lq, ten);
+        let guarded = ctx.implies(b, small);
+        let terms = [gt, guarded, b];
+        let (guard, handle) = netexpl_obs::install_memory();
+        let mut sliced = SmtSession::new();
+        sliced.assert(&mut ctx, &terms);
+        drop(guard);
+        assert_eq!(handle.spans_named("session.assert").len(), 1);
+        let mut single = SmtSession::new();
+        for t in terms {
+            single.assert(&mut ctx, &[t]);
+        }
+        assert_eq!(sliced.builder.num_vars(), single.builder.num_vars());
+        assert_eq!(sliced.num_clauses(), single.num_clauses());
+        // Each session's bit-blaster names its own encoding variables, so
+        // the models are compared on the asserted variables.
+        let sliced_model = sliced.check(&mut ctx).model().expect("sat");
+        let single_model = single.check(&mut ctx).model().expect("sat");
+        for v in [lp, lq, b] {
+            assert_eq!(sliced_model.eval(&ctx, v), single_model.eval(&ctx, v));
+        }
     }
 }

@@ -1,22 +1,19 @@
-//! The user-facing SMT solver: bit-blast → Tseitin → CDCL → decode.
+//! SMT results and the helpers shared by every solver query.
 //!
-//! [`SmtSolver`] collects assertions (boolean terms over any mix of boolean,
-//! enum and bounded-int variables) and decides them. Each `check` builds a
-//! fresh SAT instance and returns a decoded [`Assignment`] over the
-//! *original* term-level variables. One-shot construction keeps each query
-//! hermetic — nothing leaks between checks — which is exactly what the
-//! differential test suite wants from its reference solver. Query *streams*
-//! against a shared assertion base (the lifter, lint's per-map passes) go
-//! through [`crate::session::SmtSession`] instead, which encodes once and
-//! reuses the learned-clause and activity state across queries.
+//! There is one SMT solver, [`crate::session::SmtSession`]: assertions are
+//! bit-blasted, Tseitin-encoded and loaded into a CDCL solver once, and
+//! every query runs under assumptions. A single check is a session with one
+//! query. This module holds what those queries share: the [`SmtResult`]
+//! they return, model decoding, SAT statistics, the blocking tail of model
+//! enumeration, and the small satisfiability, entailment and equivalence
+//! helpers built on a fresh session.
 
 use crate::bitblast::BitBlaster;
-use crate::budget::{Budget, Interrupt, InterruptReason};
-use crate::cnf::CnfBuilder;
+use crate::budget::{Budget, Interrupt};
 use crate::model::{Assignment, Value};
-use crate::sat::{SatResult, SatSolver, SatStats};
+use crate::sat::SatStats;
+use crate::session::SmtSession;
 use crate::term::{Ctx, TermId, TermNode};
-use netexpl_obs::Span;
 
 /// Accumulate one query's CDCL search statistics into the observability
 /// counters. No-op when no obs session is installed.
@@ -33,8 +30,7 @@ pub(crate) fn record_sat_stats(stats: &SatStats) {
 
 /// Decode a SAT model back to an [`Assignment`] over the original term-level
 /// variables: theory variables through the bit-blaster, plain booleans via
-/// the CNF variable map. Shared by [`SmtSolver`] and
-/// [`crate::session::SmtSession`].
+/// the CNF variable map.
 pub(crate) fn decode_model(
     ctx: &Ctx,
     bb: &BitBlaster,
@@ -149,217 +145,25 @@ impl SmtResult {
     }
 }
 
-/// An SMT solver instance: a set of assertions decided together.
-#[derive(Debug, Default)]
-pub struct SmtSolver {
-    assertions: Vec<TermId>,
-    budget: Budget,
-}
-
-impl SmtSolver {
-    /// Fresh solver with no assertions.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bound subsequent `check*` calls by `budget`. The deadline and cancel
-    /// token are shared globally; the integer caps apply per query.
-    pub fn set_budget(&mut self, budget: Budget) {
-        self.budget = budget;
-    }
-
-    /// Add an assertion.
-    pub fn assert(&mut self, t: TermId) {
-        self.assertions.push(t);
-    }
-
-    /// Current assertions.
-    pub fn assertions(&self) -> &[TermId] {
-        &self.assertions
-    }
-
-    /// Pre-query governance: injected faults and the coarse budget axes,
-    /// checked before paying for encoding. Returns the interrupt to report.
-    fn preflight(&self) -> Option<Interrupt> {
-        let i = if netexpl_faults::triggered(netexpl_faults::sites::SMT_CHECK) {
-            Interrupt::new(InterruptReason::Fault, "smt.check")
-        } else {
-            match self.budget.check_coarse("smt.check") {
-                Ok(()) => return None,
-                Err(i) => i,
-            }
-        };
-        i.record();
-        Some(i)
-    }
-
-    /// Decide the conjunction of all assertions.
-    pub fn check(&self, ctx: &mut Ctx) -> SmtResult {
-        self.check_with(ctx, &[])
-    }
-
-    /// Decide the assertions under retractable boolean assumptions. On
-    /// `Unsat`, the second component is an **unsat core**: indices into
-    /// `assumptions` whose conjunction (with the assertions) is already
-    /// unsatisfiable. On `Sat` the core is empty.
-    ///
-    /// Assumption terms that are constant-false (or whose encoding folds to
-    /// false) are reported as singleton cores immediately.
-    pub fn check_assuming(&self, ctx: &mut Ctx, assumptions: &[TermId]) -> (SmtResult, Vec<usize>) {
-        let span = Span::enter("smt.check");
-        span.attr("assertions", self.assertions.len());
-        span.attr("assumptions", assumptions.len());
-        netexpl_obs::counter_add("smt.queries", 1);
-        if let Some(i) = self.preflight() {
-            return (SmtResult::Unknown(i), Vec::new());
-        }
-        let mut bb = BitBlaster::new();
-        let mut builder = CnfBuilder::new();
-        for &t in &self.assertions {
-            let lowered = bb.lower(ctx, t);
-            for side in bb.take_side_constraints() {
-                if !builder.assert_term(ctx, side) {
-                    return (SmtResult::Unsat, Vec::new());
-                }
-            }
-            if !builder.assert_term(ctx, lowered) {
-                return (SmtResult::Unsat, Vec::new());
-            }
-        }
-        // Define each assumption as a literal.
-        let mut lits: Vec<(usize, crate::sat::Lit)> = Vec::new();
-        for (i, &t) in assumptions.iter().enumerate() {
-            let lowered = bb.lower(ctx, t);
-            for side in bb.take_side_constraints() {
-                if !builder.assert_term(ctx, side) {
-                    return (SmtResult::Unsat, Vec::new());
-                }
-            }
-            match builder.define_term(ctx, lowered) {
-                Ok(l) => lits.push((i, l)),
-                Err(true) => {} // constant-true assumption: no literal needed
-                Err(false) => return (SmtResult::Unsat, vec![i]),
-            }
-        }
-        let cnf = builder.finish();
-        let mut sat = SatSolver::new();
-        for _ in 0..cnf.num_vars {
-            sat.new_var();
-        }
-        for clause in &cnf.clauses {
-            if !sat.add_clause(clause) {
-                return (SmtResult::Unsat, Vec::new());
-            }
-        }
-        if span.is_recording() {
-            span.attr("cnf_vars", cnf.num_vars);
-            span.attr("cnf_clauses", cnf.clauses.len());
-        }
-        let assumption_lits: Vec<crate::sat::Lit> = lits.iter().map(|&(_, l)| l).collect();
-        sat.set_budget(self.budget.clone());
-        let result = sat.solve_with_assumptions(&assumption_lits);
-        record_sat_stats(&sat.stats);
-        span.attr("sat", result.is_sat());
-        match result {
-            SatResult::Unknown(i) => (SmtResult::Unknown(i), Vec::new()),
-            SatResult::Unsat => {
-                let core_lits = sat.unsat_core();
-                let core: Vec<usize> = lits
-                    .iter()
-                    .filter(|(_, l)| core_lits.contains(l))
-                    .map(|&(i, _)| i)
-                    .collect();
-                (SmtResult::Unsat, core)
-            }
-            SatResult::Sat(model) => {
-                let asg = decode_model(ctx, &bb, &cnf.var_map, &model);
-                (SmtResult::Sat(asg), Vec::new())
-            }
-        }
-    }
-
-    /// Decide the assertions plus the extra terms (without storing them).
-    pub fn check_with(&self, ctx: &mut Ctx, extra: &[TermId]) -> SmtResult {
-        let span = Span::enter("smt.check");
-        span.attr("assertions", self.assertions.len() + extra.len());
-        netexpl_obs::counter_add("smt.queries", 1);
-        if let Some(i) = self.preflight() {
-            return SmtResult::Unknown(i);
-        }
-        let mut bb = BitBlaster::new();
-        let mut builder = CnfBuilder::new();
-        let mut roots: Vec<TermId> = self.assertions.clone();
-        roots.extend_from_slice(extra);
-
-        for &t in &roots {
-            let lowered = bb.lower(ctx, t);
-            for side in bb.take_side_constraints() {
-                if !builder.assert_term(ctx, side) {
-                    return SmtResult::Unsat;
-                }
-            }
-            if !builder.assert_term(ctx, lowered) {
-                return SmtResult::Unsat;
-            }
-        }
-
-        let cnf = builder.finish();
-        let mut sat = SatSolver::new();
-        for _ in 0..cnf.num_vars {
-            sat.new_var();
-        }
-        for clause in &cnf.clauses {
-            if !sat.add_clause(clause) {
-                return SmtResult::Unsat;
-            }
-        }
-        if span.is_recording() {
-            span.attr("cnf_vars", cnf.num_vars);
-            span.attr("cnf_clauses", cnf.clauses.len());
-        }
-        sat.set_budget(self.budget.clone());
-        let result = sat.solve();
-        record_sat_stats(&sat.stats);
-        span.attr("sat", result.is_sat());
-        match result {
-            SatResult::Unknown(i) => SmtResult::Unknown(i),
-            SatResult::Unsat => SmtResult::Unsat,
-            SatResult::Sat(model) => SmtResult::Sat(decode_model(ctx, &bb, &cnf.var_map, &model)),
-        }
-    }
-}
-
 /// Is `t` satisfiable on its own?
 pub fn is_sat(ctx: &mut Ctx, t: TermId) -> bool {
-    let mut s = SmtSolver::new();
-    s.assert(t);
-    s.check(ctx).is_sat()
-}
-
-/// Budgeted satisfiability: `Ok(verdict)` when the solver finished within
-/// `budget`, `Err(interrupt)` when it did not. The verdict, when present,
-/// is exactly what the unbudgeted solver would answer.
-pub fn is_sat_under(ctx: &mut Ctx, t: TermId, budget: &Budget) -> Result<bool, Interrupt> {
-    let mut s = SmtSolver::new();
-    s.set_budget(budget.clone());
-    s.assert(t);
-    match s.check(ctx) {
-        SmtResult::Sat(_) => Ok(true),
-        SmtResult::Unsat => Ok(false),
-        SmtResult::Unknown(i) => Err(i),
-    }
+    let mut session = SmtSession::new();
+    session.assert(ctx, &[t]);
+    session.check(ctx).is_sat()
 }
 
 /// Budgeted entailment: does `a` entail `b`, if decidable within `budget`?
+/// The verdict, when present, is exactly what an unbudgeted query answers.
 pub fn entails_under(
     ctx: &mut Ctx,
     a: TermId,
     b: TermId,
     budget: &Budget,
 ) -> Result<bool, Interrupt> {
-    let nb = ctx.not(b);
-    let both = ctx.and2(a, nb);
-    is_sat_under(ctx, both, budget).map(|sat| !sat)
+    let mut session = SmtSession::new();
+    session.set_budget(budget.clone());
+    session.assert(ctx, &[a]);
+    session.entails(ctx, b)
 }
 
 /// Budgeted equivalence: are `a` and `b` logically equivalent, if decidable
@@ -384,30 +188,11 @@ pub fn equivalent_under(
     session.entails_assuming(ctx, &[b], a)
 }
 
-/// Is `t` valid (true under every assignment)?
-pub fn is_valid(ctx: &mut Ctx, t: TermId) -> bool {
-    let neg = ctx.not(t);
-    !is_sat(ctx, neg)
-}
-
-/// Does `a` entail `b`?
-pub fn entails(ctx: &mut Ctx, a: TermId, b: TermId) -> bool {
-    let nb = ctx.not(b);
-    let both = ctx.and2(a, nb);
-    !is_sat(ctx, both)
-}
-
-/// Are `a` and `b` logically equivalent?
-pub fn equivalent(ctx: &mut Ctx, a: TermId, b: TermId) -> bool {
-    let iff = ctx.iff(a, b);
-    is_valid(ctx, iff)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::InterruptReason;
     use crate::model::brute_force_equivalent;
-    use crate::session::SmtSession;
     use crate::simplify::Simplifier;
 
     #[test]
@@ -428,8 +213,8 @@ mod tests {
         let c3 = ctx.gt(lp, hundred);
         let f = ctx.and(&[c1, c2, c3]);
 
-        let mut s = SmtSolver::new();
-        s.assert(f);
+        let mut s = SmtSession::new();
+        s.assert(&mut ctx, &[f]);
         let m = s.check(&mut ctx).model().expect("sat");
         assert_eq!(m.eval_bool(&ctx, f), Some(true));
         assert!(m.eval(&ctx, lp).unwrap().as_int().unwrap() > 100);
@@ -443,9 +228,8 @@ mod tests {
         let three = ctx.int_const(3);
         let c1 = ctx.gt(lp, five);
         let c2 = ctx.lt(lp, three);
-        let mut s = SmtSolver::new();
-        s.assert(c1);
-        s.assert(c2);
+        let mut s = SmtSession::new();
+        s.assert(&mut ctx, &[c1, c2]);
         assert_eq!(s.check(&mut ctx), SmtResult::Unsat);
     }
 
@@ -454,9 +238,9 @@ mod tests {
         let mut ctx = Ctx::new();
         let a = ctx.bool_var("a");
         let na = ctx.not(a);
-        let mut s = SmtSolver::new();
-        s.assert(a);
-        assert!(!s.check_with(&mut ctx, &[na]).is_sat());
+        let mut s = SmtSession::new();
+        s.assert(&mut ctx, &[a]);
+        assert!(!s.check_assuming(&mut ctx, &[na]).0.is_sat());
         assert!(
             s.check(&mut ctx).is_sat(),
             "extra assumption must not persist"
@@ -470,11 +254,14 @@ mod tests {
         let b = ctx.bool_var("b");
         let na = ctx.not(a);
         let excluded_middle = ctx.or2(a, na);
-        assert!(is_valid(&mut ctx, excluded_middle));
-        assert!(!is_valid(&mut ctx, a));
+        // Valid: its negation is unsatisfiable.
+        let violated = ctx.not(excluded_middle);
+        assert!(!is_sat(&mut ctx, violated));
+        assert!(is_sat(&mut ctx, na), "a alone is not valid");
         let ab = ctx.and2(a, b);
-        assert!(entails(&mut ctx, ab, a));
-        assert!(!entails(&mut ctx, a, ab));
+        let unlimited = Budget::unlimited();
+        assert_eq!(entails_under(&mut ctx, ab, a, &unlimited), Ok(true));
+        assert_eq!(entails_under(&mut ctx, a, ab, &unlimited), Ok(false));
     }
 
     #[test]
@@ -487,12 +274,13 @@ mod tests {
         let na = ctx.not(a);
         let nb = ctx.not(b);
         let rhs = ctx.or2(na, nb);
-        assert!(equivalent(&mut ctx, lhs, rhs));
+        let unlimited = Budget::unlimited();
+        assert_eq!(equivalent_under(&mut ctx, lhs, rhs, &unlimited), Ok(true));
         assert_eq!(
-            brute_force_equivalent(&ctx, lhs, rhs, 100),
-            equivalent(&mut ctx, lhs, rhs)
+            Ok(brute_force_equivalent(&ctx, lhs, rhs, 100)),
+            equivalent_under(&mut ctx, lhs, rhs, &unlimited)
         );
-        assert!(!equivalent(&mut ctx, a, b));
+        assert_eq!(equivalent_under(&mut ctx, a, b, &unlimited), Ok(false));
     }
 
     #[test]
@@ -512,7 +300,10 @@ mod tests {
         let noise = ctx.and(&[e1, t, e1]);
         let f = ctx.or2(noise, ne2);
         let g = Simplifier::default().simplify(&mut ctx, f);
-        assert!(equivalent(&mut ctx, f, g));
+        assert_eq!(
+            equivalent_under(&mut ctx, f, g, &Budget::unlimited()),
+            Ok(true)
+        );
         assert!(ctx.term_size(g) <= ctx.term_size(f));
     }
 
@@ -529,9 +320,7 @@ mod tests {
         // from a new session.
         let session = |ctx: &mut Ctx, assertions: &[TermId]| {
             let mut s = SmtSession::new();
-            for &t in assertions {
-                s.assert(ctx, t);
-            }
+            s.assert(ctx, assertions);
             s
         };
         let (models, interrupt) = session(&mut ctx, &[not_a]).check_all(&mut ctx, &[v], 10);
@@ -557,7 +346,7 @@ mod tests {
         let one = ctx.int_const(1);
         let le = ctx.le(i, one); // i ∈ {0, 1}, b free: 4 models
         let mut session = SmtSession::new();
-        session.assert(&mut ctx, le);
+        session.assert(&mut ctx, &[le]);
         let (models, interrupt) = session.check_all(&mut ctx, &[i, b], 10);
         assert!(interrupt.is_none());
         assert_eq!(models.len(), 4);
@@ -581,15 +370,15 @@ mod tests {
 
     #[test]
     fn fault_injection_makes_check_unknown() {
-        let _g = netexpl_faults::arm(netexpl_faults::sites::SMT_CHECK);
+        let _g = netexpl_faults::arm(netexpl_faults::sites::SESSION_QUERY);
         let mut ctx = Ctx::new();
         let a = ctx.bool_var("a");
-        let mut s = SmtSolver::new();
-        s.assert(a);
+        let mut s = SmtSession::new();
+        s.assert(&mut ctx, &[a]);
         match s.check(&mut ctx) {
             SmtResult::Unknown(i) => {
                 assert_eq!(i.reason, InterruptReason::Fault);
-                assert_eq!(i.at, "smt.check");
+                assert_eq!(i.at, "session.query");
             }
             other => panic!("expected unknown, got {other:?}"),
         }
@@ -608,9 +397,9 @@ mod tests {
         let lp = ctx.int_var("lp", 0, 10);
         let five = ctx.int_const(5);
 
-        let mut solver = SmtSolver::new();
+        let mut solver = SmtSession::new();
         let base = ctx.eq(v, x);
-        solver.assert(base);
+        solver.assert(&mut ctx, &[base]);
         let a0 = ctx.gt(lp, five); // consistent
         let a1 = ctx.eq(v, y); // contradicts the assertion
         let a2 = ctx.lt(lp, five); // contradicts a0 but a1 fires first
@@ -638,12 +427,12 @@ mod tests {
         let b = ctx.bool_var("b");
         let ab = ctx.or2(a, b);
         let (guard, handle) = netexpl_obs::install_memory();
-        let mut s = SmtSolver::new();
-        s.assert(ab);
+        let mut s = SmtSession::new();
+        s.assert(&mut ctx, &[ab]);
         assert!(s.check(&mut ctx).is_sat());
         let (_res, _core) = s.check_assuming(&mut ctx, &[a]);
         drop(guard);
-        let spans = handle.spans_named("smt.check");
+        let spans = handle.spans_named("session.query");
         assert_eq!(spans.len(), 2, "one span per query");
         assert_eq!(
             spans[0].attr("sat"),
@@ -651,7 +440,7 @@ mod tests {
         );
         assert!(spans[0].attr("cnf_vars").is_some());
         let metrics = handle.metrics().unwrap();
-        assert_eq!(metrics.counter("smt.queries"), 2);
+        assert_eq!(metrics.counter("session.queries"), 2);
         // Deciding a ∨ b requires at least one branching decision.
         assert!(metrics.counter("sat.decisions") > 0);
     }

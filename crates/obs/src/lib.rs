@@ -403,12 +403,12 @@ mod tests {
         counter_add("sat.decisions", 5);
         counter_add("sat.decisions", 2);
         gauge_set("seed.conjuncts", 1234);
-        observe_ms("smt.check.ms", 0.2);
+        observe_ms("span.session.query.ms", 0.2);
         drop(guard);
         let m = handle.metrics().unwrap();
         assert_eq!(m.counter("sat.decisions"), 7);
         assert_eq!(m.gauge("seed.conjuncts"), Some(1234));
-        assert_eq!(m.histogram("smt.check.ms").unwrap().count, 1);
+        assert_eq!(m.histogram("span.session.query.ms").unwrap().count, 1);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub struct StageRow {
     pub pct_of_total: f64,
 }
 
-/// One hot SAT query (a `session.query` or `smt.check` span).
+/// One hot SAT query (a `session.query` span).
 #[derive(Debug, Clone)]
 pub struct QueryRow {
     /// Wall time of the query.
@@ -255,10 +255,8 @@ pub fn analyze(data: &MemoryData, top_k: usize) -> ProfileReport {
     stages.sort_by(|a, b| b.total_ms.total_cmp(&a.total_ms).then(a.name.cmp(&b.name)));
 
     // Hot SAT queries, attributed to their origin.
-    let mut queries: Vec<&SpanRecord> = spans
-        .iter()
-        .filter(|s| s.name == "session.query" || s.name == "smt.check")
-        .collect();
+    let mut queries: Vec<&SpanRecord> =
+        spans.iter().filter(|s| s.name == "session.query").collect();
     queries.sort_by(|a, b| b.wall_us.cmp(&a.wall_us).then(a.id.cmp(&b.id)));
     let hot_queries: Vec<QueryRow> = queries
         .iter()
@@ -312,7 +310,6 @@ pub fn analyze(data: &MemoryData, top_k: usize) -> ProfileReport {
             "span.lift.simplify_defs.ms",
             "span.session.assert.ms",
             "span.session.query.ms",
-            "span.smt.check.ms",
             "span.simplify.ms",
             "span.seed.ms",
             "span.symbolize.ms",

@@ -159,7 +159,7 @@ impl SpanRecord {
 }
 
 /// A point-in-time measurement attached to the enclosing span: the CDCL
-/// solver emits one every `sample_period` conflicts (conflicts, decisions,
+/// solver emits one every 256 conflicts (conflicts, decisions,
 /// propagations, learned clauses, LBD distribution, restarts), giving a
 /// timeline *inside* a long `session.query` span. Rendered as counter
 /// events on the owning track in the Chrome trace.

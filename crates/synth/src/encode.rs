@@ -1358,11 +1358,21 @@ mod tests {
     use super::*;
     use crate::sketch::{HoleFactory, SymEntry, SymRouteMap};
     use netexpl_bgp::{Community, NetworkConfig, RouteMap, RouteMapEntry, SetClause};
-    use netexpl_logic::solver::{is_sat, SmtSolver};
+    use netexpl_logic::model::Assignment;
+    use netexpl_logic::solver::is_sat;
+    use netexpl_logic::SmtSession;
     use netexpl_topology::builders::paper_topology;
 
     fn d1() -> Prefix {
         "200.7.0.0/16".parse().unwrap()
+    }
+
+    /// A model of every encoded constraint: one check on a fresh session.
+    fn solve(ctx: &mut Ctx, encoded: &Encoded) -> Option<Assignment> {
+        let constraints: Vec<TermId> = encoded.constraints().collect();
+        let mut session = SmtSession::new();
+        session.assert(ctx, &constraints);
+        session.check(ctx).model()
     }
 
     fn vocab_for(topo: &Topology) -> Vocabulary {
@@ -1463,14 +1473,7 @@ mod tests {
         let mut enc = Encoder::new(&topo, &vocab, sorts, EncodeOptions::default());
         let encoded = enc.encode(&mut ctx, &sym, &spec).unwrap();
 
-        let mut solver = SmtSolver::new();
-        for c in encoded.constraints() {
-            solver.assert(c);
-        }
-        let model = solver
-            .check(&mut ctx)
-            .model()
-            .expect("should be synthesizable");
+        let model = solve(&mut ctx, &encoded).expect("should be synthesizable");
         let concrete = sym.concretize(&ctx, &vocab, &sorts, &model);
         // Validate with the concrete checker: no violations.
         let violations = netexpl_spec::check_specification(&topo, &concrete, &spec);
@@ -1507,11 +1510,7 @@ mod tests {
         let spec = netexpl_spec::parse("dest D1 = 200.7.0.0/16\nReq { Customer ~> D1 }").unwrap();
         let mut enc = Encoder::new(&topo, &vocab, sorts, EncodeOptions::default());
         let encoded = enc.encode(&mut ctx, &sym, &spec).unwrap();
-        let mut solver = SmtSolver::new();
-        for c in encoded.constraints() {
-            solver.assert(c);
-        }
-        let model = solver.check(&mut ctx).model().expect("sat");
+        let model = solve(&mut ctx, &encoded).expect("sat");
         let concrete = sym.concretize(&ctx, &vocab, &sorts, &model);
         let m = concrete.router(h.r3).unwrap().export(h.customer).unwrap();
         assert_eq!(
@@ -1559,11 +1558,7 @@ mod tests {
         .unwrap();
         let mut enc = Encoder::new(&topo, &vocab, sorts, EncodeOptions::default());
         let encoded = enc.encode(&mut ctx, &sym, &spec).unwrap();
-        let mut solver = SmtSolver::new();
-        for c in encoded.constraints() {
-            solver.assert(c);
-        }
-        let model = solver.check(&mut ctx).model().expect("sat");
+        let model = solve(&mut ctx, &encoded).expect("sat");
         let concrete = sym.concretize(&ctx, &vocab, &sorts, &model);
         let violations = netexpl_spec::check_specification(&topo, &concrete, &spec);
         assert_eq!(violations, Vec::new(), "{violations:?}");

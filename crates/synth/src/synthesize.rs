@@ -3,8 +3,8 @@
 
 use netexpl_bgp::{Action, NetworkConfig};
 use netexpl_logic::budget::{Budget, Interrupt};
-use netexpl_logic::solver::{SmtResult, SmtSolver};
-use netexpl_logic::term::Ctx;
+use netexpl_logic::term::{Ctx, TermId};
+use netexpl_logic::{SmtResult, SmtSession};
 use netexpl_obs::Span;
 use netexpl_spec::{check_specification, Specification, Violation};
 use netexpl_topology::{RouterKind, Topology};
@@ -127,14 +127,17 @@ pub fn synthesize(
 
     let model = {
         let _solve_span = Span::enter("solve");
-        let mut solver = SmtSolver::new();
-        solver.set_budget(options.budget.clone());
-        for c in encoded.constraints() {
-            solver.assert(c);
-        }
+        // One check: a fresh session asserts every constraint in one
+        // `session.assert` span and answers one `session.query` attributed
+        // to synthesis.
+        let mut session = SmtSession::new();
+        session.set_budget(options.budget.clone());
+        session.set_origin("synthesize");
+        let constraints: Vec<TermId> = encoded.constraints().collect();
+        session.assert(ctx, &constraints);
         // Unknown must not be misread as Unsat: an interrupted search says
         // nothing about satisfiability.
-        match solver.check(ctx) {
+        match session.check(ctx) {
             SmtResult::Sat(m) => m,
             SmtResult::Unsat => return Err(SynthError::Unsat),
             SmtResult::Unknown(i) => return Err(SynthError::Interrupted(i)),
@@ -173,11 +176,10 @@ pub fn synthesize_diverse(
     // Model enumeration is a query stream over one constraint set: encode the
     // constraints once into a session so every blocking-clause round reuses
     // the CNF and the learned clauses from the previous rounds.
-    let mut session = netexpl_logic::SmtSession::new();
+    let mut session = SmtSession::new();
     session.set_budget(options.budget.clone());
-    for c in encoded.constraints() {
-        session.assert(ctx, c);
-    }
+    let constraints: Vec<TermId> = encoded.constraints().collect();
+    session.assert(ctx, &constraints);
     let (models, interrupt) = session.check_all(ctx, &holes, limit);
     if models.is_empty() {
         // With zero models an interrupt means "don't know", not "unsat".
@@ -374,6 +376,51 @@ mod tests {
             "{}",
             r1_export.render(&topo)
         );
+    }
+
+    /// The main solve is one session check: under `solve`, exactly one
+    /// `session.assert` (every constraint) and one `session.query`
+    /// attributed to `synthesize`, both sized by the clauses the solver
+    /// holds.
+    #[test]
+    fn synthesis_solve_is_one_assert_and_one_query() {
+        use netexpl_obs::AttrValue;
+        let d2: Prefix = "201.0.0.0/16".parse().unwrap();
+        let (topo, h, vocab) = setup(&[(netexpl_topology::RouterId(0), d1())]);
+        let mut ctx = Ctx::new();
+        let sorts = vocab.sorts(&mut ctx);
+        let factory = HoleFactory::new(&vocab, sorts);
+        let mut base = NetworkConfig::new();
+        base.originate(h.p1, d1());
+        base.originate(h.p2, d2);
+        let sketch = default_sketch(&mut ctx, &topo, &factory, &base);
+        let (guard, handle) = netexpl_obs::install_memory();
+        synthesize(
+            &mut ctx,
+            &topo,
+            &vocab,
+            sorts,
+            &sketch,
+            &scenario1_spec(),
+            SynthOptions::default(),
+        )
+        .expect("scenario 1 must synthesize");
+        drop(guard);
+        let solve = handle.spans_named("solve");
+        assert_eq!(solve.len(), 1);
+        let asserts = handle.spans_named("session.assert");
+        let queries = handle.spans_named("session.query");
+        assert_eq!(asserts.len(), 1, "one assert span per solve");
+        assert_eq!(queries.len(), 1, "one query span per solve");
+        assert_eq!(asserts[0].parent, Some(solve[0].id));
+        assert_eq!(queries[0].parent, Some(solve[0].id));
+        assert_eq!(
+            queries[0].attr("origin"),
+            Some(&AttrValue::Str("synthesize".to_string()))
+        );
+        let clauses = asserts[0].attr("cnf_clauses");
+        assert!(matches!(clauses, Some(AttrValue::UInt(n)) if *n > 0));
+        assert_eq!(queries[0].attr("cnf_clauses"), clauses);
     }
 
     #[test]

@@ -85,7 +85,7 @@ echo "==> fault-injection smoke: every armed site degrades, never panics"
 # reproduce it byte-for-byte.
 ./target/release/netexpl explain --topology paper --spec "$OBS_DIR/spec.txt" \
     --router R1 --neighbor P1 --dir export --json > "$OBS_DIR/baseline.json"
-for site in smt.check sat.search dpll.search encode.paths seed.encode \
+for site in sat.search dpll.search encode.paths seed.encode \
             simplify.pass lift.candidate session.query; do
   status=0
   NETEXPL_FAULT="$site" ./target/release/netexpl explain --topology paper \
@@ -110,7 +110,7 @@ done
 
 # Typos and retired sites in NETEXPL_FAULT must be rejected, not silently
 # ignored.
-for site in no.such.site lift.shard; do
+for site in no.such.site lift.shard smt.check; do
   status=0
   NETEXPL_FAULT="$site" ./target/release/netexpl synth --topology paper \
       --spec "$OBS_DIR/spec.txt" > /dev/null 2> "$OBS_DIR/fault.err" || status=$?
@@ -330,13 +330,17 @@ echo "serve peak RSS after 20 cold builds: $((hwm_kb / 1024)) MiB (limit 128 MiB
 
 echo "==> CNF-size gate: ring:6 synthesis bit-blasts to a linear-size CNF"
 # Var–var local-preference comparisons are O(width) circuits. Lowering them
-# by enumerating their [0, 200] domain instead reads ~119k clauses here.
-# The count is deterministic: it depends on the encoding, not the machine.
+# by enumerating their [0, 200] domain instead emitted ~119k clauses here.
+# The count is the clauses the SAT solver stores for the synthesis query
+# (the `session.query` span with `origin` `synthesize`): level-0 units and
+# satisfied clauses are not stored. It is deterministic: it depends on the
+# encoding, not the machine.
 ./target/release/netexpl synth --topology ring:6 --spec "$OBS_DIR/ring-b.txt" \
     --trace=json > /dev/null 2> "$OBS_DIR/synth-trace.jsonl"
-clauses="$(grep '"name":"smt.check"' "$OBS_DIR/synth-trace.jsonl" \
+clauses="$(grep '"name":"session.query"' "$OBS_DIR/synth-trace.jsonl" \
+    | grep '"origin":"synthesize"' \
     | grep -o '"cnf_clauses":[0-9]*' | grep -o '[0-9]*$' | head -1 || true)"
-[ -n "$clauses" ] || { echo "no smt.check span with cnf_clauses in the trace"; exit 1; }
+[ -n "$clauses" ] || { echo "no synthesis session.query span with cnf_clauses in the trace"; exit 1; }
 echo "ring:6 synthesis CNF: $clauses clauses (limit 20000)"
 [ "$clauses" -le 20000 ] \
   || { echo "synthesis CNF over the 20000-clause limit"; exit 1; }

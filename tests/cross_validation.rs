@@ -249,11 +249,10 @@ fn selection_model_is_a_stable_state() {
         let sym = SymNetworkConfig::from_concrete(&net);
         let mut enc = Encoder::new(&topo, &vocab, sorts, EncodeOptions { max_path_len: 12 });
         let encoded = enc.encode(&mut ctx, &sym, &spec).unwrap();
-        let mut solver = netexpl_logic::solver::SmtSolver::new();
-        for c in encoded.constraints() {
-            solver.assert(c);
-        }
-        let Some(model) = solver.check(&mut ctx).model() else {
+        let constraints: Vec<_> = encoded.constraints().collect();
+        let mut session = netexpl_logic::SmtSession::new();
+        session.assert(&mut ctx, &constraints);
+        let Some(model) = session.check(&mut ctx).model() else {
             continue;
         };
         let Some(sel_vars) = encoded.nominal_sel.get(&d1) else {

@@ -141,7 +141,7 @@ fn mid_session_fault_interrupts_only_the_inflight_query() {
     let b = ctx.bool_var("b");
     let ab = ctx.or2(a, b);
     let mut session = SmtSession::new();
-    session.assert(&mut ctx, ab);
+    session.assert(&mut ctx, &[ab]);
 
     // Query 1, unfaulted: the base is satisfiable.
     assert!(matches!(
@@ -185,7 +185,7 @@ fn mid_session_budget_exhaustion_is_transient() {
     let b = ctx.bool_var("b");
     let ab = ctx.or2(a, b);
     let mut session = SmtSession::new();
-    session.assert(&mut ctx, ab);
+    session.assert(&mut ctx, &[ab]);
     assert!(matches!(
         session.check_assuming(&mut ctx, &[]).0,
         SmtResult::Sat(_)
@@ -239,7 +239,7 @@ fn every_site_degrades_synthesis_gracefully() {
     // As above: synthesis runs on this thread, so its sites still fire.
     assert_eq!(
         fired,
-        ["smt.check", "sat.search", "encode.paths"],
+        ["sat.search", "encode.paths", "session.query"],
         "sites that fired"
     );
 }

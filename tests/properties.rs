@@ -8,8 +8,8 @@ use netexpl_logic::budget::{Budget, InterruptReason};
 use netexpl_logic::dpll;
 use netexpl_logic::model::Assignment;
 use netexpl_logic::sat::{Lit, SatResult, SatSolver};
-use netexpl_logic::solver::SmtSolver;
 use netexpl_logic::term::{Ctx, TermId};
+use netexpl_logic::SmtSession;
 use netexpl_spec::{parse, PathPattern, Requirement, Seg, Specification};
 use netexpl_topology::builders::random_gnp;
 use netexpl_topology::Prefix;
@@ -190,9 +190,9 @@ proptest! {
                 bf_sat = true;
             }
         });
-        let mut solver = SmtSolver::new();
-        solver.assert(term);
-        let result = solver.check(&mut ctx);
+        let mut session = SmtSession::new();
+        session.assert(&mut ctx, &[term]);
+        let result = session.check(&mut ctx);
         prop_assert_eq!(bf_sat, result.is_sat());
         if let Some(model) = result.model() {
             prop_assert_eq!(model.eval_bool(&ctx, term), Some(true), "model must satisfy");

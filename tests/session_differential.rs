@@ -1,7 +1,7 @@
 //! Differential suite for incremental solver sessions: a persistent
 //! [`SmtSession`] answering a stream of assert/query operations must agree
-//! verdict-for-verdict with a fresh one-shot [`SmtSolver`] per query and
-//! with semantic ground truth (brute-force model enumeration at the term
+//! verdict-for-verdict with a fresh session per query (no state carried
+//! between queries) and with semantic ground truth (brute-force model enumeration at the term
 //! level, the complete DPLL oracle at the clause level) — including when
 //! the learned-clause database reduction is forced to fire between
 //! queries. Session reuse is an optimization; any divergence is a bug.
@@ -14,7 +14,6 @@ use proptest::prelude::*;
 use netexpl_logic::dpll;
 use netexpl_logic::model::Assignment;
 use netexpl_logic::sat::{Lit, SatResult, SatSolver};
-use netexpl_logic::solver::SmtSolver;
 use netexpl_logic::term::{Ctx, TermId};
 use netexpl_logic::{SmtResult, SmtSession};
 
@@ -147,8 +146,8 @@ fn brute_force_sat(ctx: &mut Ctx, asserted: &[TermId], assumptions: &[TermId]) -
 proptest! {
     #![proptest_config(cases_from_env(64))]
 
-    /// The three backends — persistent session, fresh one-shot solver per
-    /// query, brute-force enumeration — must return the same verdict for
+    /// The three backends — persistent session, fresh session per query,
+    /// brute-force enumeration — must return the same verdict for
     /// every query of every randomized assert/query interleaving. A tiny
     /// clause-database reduction threshold forces reductions mid-stream,
     /// so this also exercises answering from a reduced database.
@@ -165,7 +164,7 @@ proptest! {
                 Op::Assert(f) => {
                     let t = vars.build(&mut ctx, f);
                     asserted.push(t);
-                    session.assert(&mut ctx, t);
+                    session.assert(&mut ctx, &[t]);
                 }
                 Op::Query(fs) => {
                     let assumptions: Vec<TermId> =
@@ -173,19 +172,17 @@ proptest! {
 
                     let expected = brute_force_sat(&mut ctx, &asserted, &assumptions);
 
-                    // Fresh one-shot solver: the pre-session behaviour.
-                    let mut fresh = SmtSolver::new();
-                    for &t in &asserted {
-                        fresh.assert(t);
-                    }
+                    // Fresh session, one query: nothing carried over.
+                    let mut fresh = SmtSession::new();
+                    fresh.assert(&mut ctx, &asserted);
                     let (fresh_result, _) = fresh.check_assuming(&mut ctx, &assumptions);
                     prop_assert!(
                         !matches!(fresh_result, SmtResult::Unknown(_)),
-                        "step {step}: unbudgeted fresh solver returned Unknown"
+                        "step {step}: unbudgeted fresh session returned Unknown"
                     );
                     prop_assert_eq!(
                         fresh_result.is_sat(), expected,
-                        "step {step}: fresh solver disagrees with brute force"
+                        "step {step}: fresh session disagrees with brute force"
                     );
 
                     // Incremental session: same question, reused state.
