@@ -140,7 +140,7 @@ fn print_usage() {
                             [--max-request-bytes <N>] [--metrics-out <FILE>]\n\
                             (long-lived JSON-over-TCP explanation service;\n\
                             prints `listening on <ADDR>`, runs until a\n\
-                            `shutdown` request drains it. Full queue sheds\n\
+                            `shutdown` request drains it. Overload sheds\n\
                             NX801; crashes isolate to NX804 per request)\n\
            netexpl request  --addr <HOST:PORT> --op <OP> [--id <TAG>]\n\
                             [--topology <T> --spec <FILE> [--router <NAME>]\n\

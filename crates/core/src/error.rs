@@ -26,7 +26,7 @@
 //! | NX801 | server overloaded — request shed at admission |
 //! | NX802 | malformed/undecodable server request          |
 //! | NX803 | oversized server request                      |
-//! | NX804 | server worker crashed (isolated, respawned)   |
+//! | NX804 | server worker crashed (isolated to a request) |
 //! | NX805 | server draining — request refused             |
 //! | NX806 | warm session discarded by `serve.evict` fault |
 //!

@@ -2,18 +2,19 @@
 //!
 //! A *fault site* is a named point in the pipeline (e.g. `sat.search`) where
 //! production code asks [`triggered`] whether an injected fault should fire.
-//! Sites are armed in three ways, with two scopes:
+//! Sites are armed in three scopes:
 //!
 //! - [`arm`] returns a guard and arms the site **for the arming thread
 //!   only**: concurrent tests (or any other thread) never see it, so a
 //!   fault test cannot leak its fault into an unrelated test running
 //!   beside it. Guard users drive serial pipelines on their own thread.
-//! - [`arm_shots`] arms a site process-wide for a number of triggers, for
-//!   long-lived processes whose fault consumer is a different thread
-//!   (the server's `arm-fault` op).
-//! - [`arm_from_env`] arms process-wide from the `NETEXPL_FAULT`
+//! - [`Shots`] holds counted armings for **one owner**, a server: its
+//!   `arm-fault` op arms a `serve.*` site for a number of triggers, and
+//!   only that server's threads consume them ([`Shots::fire`]).
+//! - [`arm_from_env`] arms **the process** from the `NETEXPL_FAULT`
 //!   environment variable, used by the CLI so `scripts/ci.sh` can
-//!   smoke-test the error paths of a release binary.
+//!   smoke-test the error paths of a release binary. A CLI process runs
+//!   one command, so under `serve` this arms the whole server.
 //!
 //! The harness is deliberately tiny and always compiled in: the fast path is
 //! a single relaxed atomic load, so an unarmed binary pays one predictable
@@ -23,6 +24,7 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -50,9 +52,9 @@ pub mod sites {
     /// Fail the server's request decoder: the request gets a typed
     /// bad-request error and the connection stays usable.
     pub const SERVE_DECODE: &str = "serve.decode";
-    /// Panic inside a server worker's request pipeline: the request gets a
-    /// typed worker-crash error, the warm session it used is quarantined,
-    /// and the supervisor respawns the worker.
+    /// Panic inside a server's request pipeline: the request gets a typed
+    /// crash error, the warm session it used is quarantined, and the
+    /// connection and the server keep serving.
     pub const SERVE_WORKER: &str = "serve.worker";
     /// Fail the warm-session pool's eviction/insert path: the request gets
     /// a typed pool error and the entry is discarded, never reused.
@@ -75,7 +77,8 @@ pub mod sites {
 }
 
 /// Fast path: true iff at least one site is armed anywhere in the process
-/// (on any thread).
+/// (on any thread). Only a hint: another thread's guard sends this thread
+/// down the slow path, which then finds nothing armed here.
 static ANY_ARMED: AtomicBool = AtomicBool::new(false);
 
 /// Live [`FaultGuard`]s across all threads; feeds [`ANY_ARMED`].
@@ -98,108 +101,91 @@ fn lock_armed() -> MutexGuard<'static, HashSet<String>> {
     armed_set().lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Counted (one-shot) armings: site → remaining trigger count. Used by the
-/// long-lived server, where a guard-scoped [`arm`] cannot express "fail the
-/// next N requests, then recover".
-fn shots_map() -> &'static Mutex<HashMap<String, u64>> {
-    static SHOTS: OnceLock<Mutex<HashMap<String, u64>>> = OnceLock::new();
-    SHOTS.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn lock_shots() -> MutexGuard<'static, HashMap<String, u64>> {
-    shots_map().lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn recompute_any_armed() {
-    let any = LIVE_GUARDS.load(Ordering::SeqCst) > 0
-        || !lock_armed().is_empty()
-        || !lock_shots().is_empty();
-    ANY_ARMED.store(any, Ordering::Relaxed);
-}
-
-/// Returns true iff `site` is currently armed. Production code calls this at
-/// each injection point; the unarmed cost is one relaxed atomic load.
-/// A counted arming ([`arm_shots`]) is *consumed* by this check: each call
-/// burns one shot until the count reaches zero and the site disarms itself.
+/// Returns true iff `site` is armed on this thread or process-wide.
+/// Production code calls this at each injection point; the unarmed cost is
+/// one relaxed atomic load.
 pub fn triggered(site: &str) -> bool {
     if !ANY_ARMED.load(Ordering::Relaxed) {
         return false;
     }
-    if THREAD_ARMED.with(|armed| armed.borrow().contains(site)) || lock_armed().contains(site) {
-        return true;
-    }
-    let mut shots = lock_shots();
-    if let Some(remaining) = shots.get_mut(site) {
-        *remaining -= 1;
-        if *remaining == 0 {
-            shots.remove(site);
-            drop(shots);
-            recompute_any_armed();
-        }
-        return true;
-    }
-    false
+    THREAD_ARMED.with(|armed| armed.borrow().contains(site)) || lock_armed().contains(site)
 }
 
-/// Arm `site` for exactly `n` triggers, then self-disarm. Unlike [`arm`]
-/// this takes no serialization guard and returns no handle: it is meant for
-/// runtime injection into a long-lived process (the serve fault-matrix
-/// tests and `netexpl request --op arm-fault`), where the *consumer* of the
-/// fault is a different thread than the one arming it. `n == 0` disarms.
-pub fn arm_shots(site: &str, n: u64) {
-    {
-        let mut shots = lock_shots();
+/// Counted armings owned by one long-lived consumer — a server's engine —
+/// whose faults fire on threads other than the one that armed them: site →
+/// remaining triggers. Two owners never see each other's shots, so two
+/// servers in one process (or two tests) cannot consume each other's
+/// faults.
+#[derive(Default)]
+pub struct Shots {
+    armed: Mutex<HashMap<String, u64>>,
+}
+
+impl Shots {
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, u64>> {
+        // Every update is a single insert or remove, so a poisoned map is
+        // still valid.
+        self.armed.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Arm `site` for exactly `n` triggers of [`Shots::fire`], then
+    /// self-disarm. `n == 0` disarms.
+    pub fn arm(&self, site: &str, n: u64) {
+        let mut armed = self.lock();
         if n == 0 {
-            shots.remove(site);
+            armed.remove(site);
         } else {
-            shots.insert(site.to_string(), n);
+            armed.insert(site.to_string(), n);
         }
     }
-    recompute_any_armed();
+
+    /// Returns true iff `site` fires: burns one shot armed here, or else
+    /// asks [`triggered`], so a thread guard or `NETEXPL_FAULT` still
+    /// arms the site.
+    pub fn fire(&self, site: &str) -> bool {
+        let mut armed = self.lock();
+        if let Some(remaining) = armed.get_mut(site) {
+            *remaining -= 1;
+            if *remaining == 0 {
+                armed.remove(site);
+            }
+            return true;
+        }
+        drop(armed);
+        triggered(site)
+    }
 }
 
-/// Guard returned by [`arm`]: disarms the site on the arming thread (and
-/// releases the cross-test serialization lock) on drop. Not `Send`: it
-/// must be dropped on the thread whose arming it undoes.
+/// Guard returned by [`arm`]: disarms the site on the arming thread on
+/// drop. Not `Send`: it must be dropped on the thread whose arming it
+/// undoes.
 pub struct FaultGuard {
     site: String,
-    _serial: MutexGuard<'static, ()>,
+    _not_send: PhantomData<*const ()>,
 }
 
 impl Drop for FaultGuard {
     fn drop(&mut self) {
         THREAD_ARMED.with(|armed| armed.borrow_mut().remove(&self.site));
-        LIVE_GUARDS.fetch_sub(1, Ordering::SeqCst);
-        recompute_any_armed();
+        // Clear the hint only under the armed-set lock, which `arm` also
+        // holds, so a guard armed concurrently elsewhere cannot be hidden.
+        let env = lock_armed();
+        let live = LIVE_GUARDS.fetch_sub(1, Ordering::SeqCst) - 1;
+        ANY_ARMED.store(live > 0 || !env.is_empty(), Ordering::Relaxed);
     }
-}
-
-fn test_serial() -> &'static Mutex<()> {
-    static SERIAL: OnceLock<Mutex<()>> = OnceLock::new();
-    SERIAL.get_or_init(|| Mutex::new(()))
-}
-
-/// Take the cross-test serialization lock without arming anything. Tests
-/// that arm process-global state through [`arm_shots`] (which returns no
-/// guard) hold this for their duration so parallel fault tests don't race.
-pub fn test_lock() -> MutexGuard<'static, ()> {
-    test_serial().lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Arm `site` on the calling thread for the lifetime of the returned
 /// guard. Other threads never see the arming, so the guard scopes a fault
-/// to the pipeline its test drives on this thread. The guard also holds
-/// the cross-test serialization lock, which keeps guard-armed tests apart
-/// from tests arming process-wide shots ([`arm_shots`] under
-/// [`test_lock`]).
+/// to the pipeline its test drives on this thread.
 pub fn arm(site: &str) -> FaultGuard {
-    let serial = test_serial().lock().unwrap_or_else(|e| e.into_inner());
     THREAD_ARMED.with(|armed| armed.borrow_mut().insert(site.to_string()));
+    let _env = lock_armed();
     LIVE_GUARDS.fetch_add(1, Ordering::SeqCst);
     ANY_ARMED.store(true, Ordering::Relaxed);
     FaultGuard {
         site: site.to_string(),
-        _serial: serial,
+        _not_send: PhantomData,
     }
 }
 
@@ -261,20 +247,26 @@ mod tests {
 
     #[test]
     fn counted_arming_consumes_shots_then_self_disarms() {
-        // Hold the serialization lock so parallel fault tests don't race us.
-        let _serial = test_serial().lock().unwrap_or_else(|e| e.into_inner());
-        arm_shots(sites::SERVE_WORKER, 2);
-        assert!(triggered(sites::SERVE_WORKER));
-        assert!(!triggered(sites::SERVE_DECODE), "other sites stay unarmed");
-        assert!(triggered(sites::SERVE_WORKER));
+        let shots = Shots::default();
+        shots.arm(sites::SERVE_WORKER, 2);
+        assert!(shots.fire(sites::SERVE_WORKER));
         assert!(
-            !triggered(sites::SERVE_WORKER),
+            !Shots::default().fire(sites::SERVE_WORKER),
+            "another owner never sees these shots"
+        );
+        assert!(!shots.fire(sites::SERVE_DECODE), "other sites stay unarmed");
+        assert!(shots.fire(sites::SERVE_WORKER));
+        assert!(
+            !shots.fire(sites::SERVE_WORKER),
             "shots exhausted — site must self-disarm"
         );
         // Explicit zero disarms a pending counted arming.
-        arm_shots(sites::SERVE_EVICT, 3);
-        arm_shots(sites::SERVE_EVICT, 0);
-        assert!(!triggered(sites::SERVE_EVICT));
+        shots.arm(sites::SERVE_EVICT, 3);
+        shots.arm(sites::SERVE_EVICT, 0);
+        assert!(!shots.fire(sites::SERVE_EVICT));
+        // With no shot left, a guard on this thread still arms the site.
+        let _g = arm(sites::SERVE_EVICT);
+        assert!(shots.fire(sites::SERVE_EVICT));
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //! * [`term`] — the hash-consed term arena ([`term::Ctx`]) and term nodes.
 //! * [`model`] — assignments and a reference term evaluator.
 //! * [`simplify`] — the fifteen rewrite rules with a per-rule ablation mask.
-//! * [`nnf`] — negation normal form and miscellaneous structural transforms.
 //! * [`bitblast`] — lowering of enum/int atoms to propositional formulas.
 //! * [`cnf`] — Tseitin conversion to clausal form.
 //! * [`sat`] — the CDCL solver (watched literals, VSIDS, Luby restarts).
@@ -60,7 +59,6 @@ pub mod budget;
 pub mod cnf;
 pub mod dpll;
 pub mod model;
-pub mod nnf;
 pub mod sat;
 pub mod session;
 pub mod simplify;

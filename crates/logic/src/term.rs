@@ -362,11 +362,6 @@ impl Ctx {
         self.intern(TermNode::Lt(a, b))
     }
 
-    /// `a ≥ b`, sugar for `b ≤ a`.
-    pub fn ge(&mut self, a: TermId, b: TermId) -> TermId {
-        self.le(b, a)
-    }
-
     /// `a > b`, sugar for `b < a`.
     pub fn gt(&mut self, a: TermId, b: TermId) -> TermId {
         self.lt(b, a)

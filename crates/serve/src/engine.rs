@@ -1,11 +1,11 @@
 //! The request engine: protocol-agnostic execution of one decoded
 //! request against the warm-session pool.
 //!
-//! The engine is what a worker thread runs inside its `catch_unwind`
+//! The engine is what a connection thread runs inside its `catch_unwind`
 //! envelope, and what tests and perfbench's traced run drive directly
-//! (no sockets involved). It owns the pool and
-//! the shared metrics; the server wraps it with the queue, the
-//! connection plumbing, and crash isolation.
+//! (no sockets involved). It owns the pool, the shared metrics and the
+//! server's armed fault shots; the server wraps it with admission
+//! control, the connection plumbing, and crash isolation.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,13 +15,23 @@ use netexpl_core::{
     explain_all_cached, explain_cached, Error, ExplainAllOptions, ExplainOptions, Explanation,
     RouterOutcome,
 };
+use netexpl_faults::{sites, Shots};
 use netexpl_lint::lint_network;
 use netexpl_logic::budget::{Budget, CancelToken};
 use netexpl_obs::SharedMetrics;
 use serde_json::Value;
 
 use crate::pool::{Session, SessionKey, SessionPool};
-use crate::protocol::Op;
+use crate::protocol::{malformed, Op};
+
+/// The sites `arm-fault` may arm: the ones only a server checks. Pipeline
+/// sites are armed for a whole server process through `NETEXPL_FAULT`.
+const ARMABLE: [&str; 4] = [
+    sites::SERVE_ACCEPT,
+    sites::SERVE_DECODE,
+    sites::SERVE_WORKER,
+    sites::SERVE_EVICT,
+];
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -61,16 +71,21 @@ pub struct Engine {
     /// request budget carries a clone, so in-flight solver work observes
     /// the drain as a cooperative interrupt.
     drain: CancelToken,
+    /// Fault shots armed on this engine; shared with the pool, which
+    /// checks `serve.evict`.
+    shots: Arc<Shots>,
 }
 
 impl Engine {
     /// A fresh engine with its own pool.
     pub fn new(config: EngineConfig, metrics: SharedMetrics) -> Engine {
+        let shots = Arc::new(Shots::default());
         Engine {
-            pool: SessionPool::new(config.pool_capacity, metrics.clone()),
+            pool: SessionPool::new(config.pool_capacity, metrics.clone(), Arc::clone(&shots)),
             metrics,
             config,
             drain: CancelToken::new(),
+            shots,
         }
     }
 
@@ -82,6 +97,26 @@ impl Engine {
     /// The cancel token a `mode=cancel` drain fires.
     pub fn drain_token(&self) -> &CancelToken {
         &self.drain
+    }
+
+    /// Arm `site` for its next `shots` triggers on this engine only
+    /// (`0` disarms). Only the four `serve.*` sites are armable; any
+    /// other name fails NX802.
+    pub fn arm_fault(&self, site: &str, shots: u64) -> Result<(), Error> {
+        if !ARMABLE.contains(&site) {
+            return Err(malformed(format!(
+                "cannot arm fault site `{site}` on a server (armable: {})",
+                ARMABLE.join(", ")
+            )));
+        }
+        self.shots.arm(site, shots);
+        Ok(())
+    }
+
+    /// True iff `site` fires for this engine: an armed shot, a thread
+    /// guard, or `NETEXPL_FAULT`.
+    pub fn fault(&self, site: &str) -> bool {
+        self.shots.fire(site)
     }
 
     /// The per-request budget: the client's timeout (or the default),
@@ -119,8 +154,8 @@ impl Engine {
         Ok((self.pool.insert(key, session), false))
     }
 
-    /// Execute one heavy request (`explain` or `lint`). Called from a
-    /// worker's `catch_unwind`; a panic in here is isolated to the
+    /// Execute one heavy request (`explain` or `lint`). Called inside the
+    /// server's `catch_unwind`; a panic in here is isolated to the
     /// request, and the server quarantines the session afterwards.
     pub fn handle(&self, op: &Op, timeout_ms: Option<u64>) -> Result<Handled, Error> {
         match op {
@@ -174,10 +209,10 @@ impl Engine {
                     warm,
                 })
             }
-            // Control ops are answered inline by the server, never queued.
-            Op::Ping | Op::Stats | Op::ArmFault { .. } | Op::Shutdown { .. } => Err(
-                crate::protocol::malformed("control op routed to the worker queue"),
-            ),
+            // Control ops are answered by the server itself.
+            Op::Ping | Op::Stats | Op::ArmFault { .. } | Op::Shutdown { .. } => {
+                Err(malformed("control op sent to the engine"))
+            }
         }
     }
 

@@ -13,7 +13,7 @@
 //! own cache and needs no re-check on acquire. Entries leave the pool by
 //! three rules:
 //!
-//! 1. **Quarantine.** A worker panic while a request held an entry
+//! 1. **Quarantine.** A panic while a request held an entry
 //!    poisons it: the entry is removed immediately and in-flight holders
 //!    finish on their own `Arc` without it ever being handed out again.
 //! 2. **Retirement.** A budget interrupt or armed fault during a request
@@ -30,6 +30,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use netexpl_bgp::NetworkConfig;
 use netexpl_core::{parse_problem, synthesize_problem, topology_by_name, Error, Problem};
+use netexpl_faults::{sites, Shots};
 use netexpl_logic::budget::Budget;
 use netexpl_logic::term::Ctx;
 use netexpl_obs::SharedMetrics;
@@ -117,27 +118,30 @@ struct Entry {
 }
 
 /// The LRU pool. All methods are short and lock-bounded; session
-/// *construction* happens outside the lock (in the calling worker).
+/// *construction* happens outside the lock (in the calling request).
 pub struct SessionPool {
     entries: Mutex<Vec<Entry>>,
     capacity: usize,
     clock: AtomicU64,
     metrics: SharedMetrics,
+    shots: Arc<Shots>,
 }
 
 impl SessionPool {
-    /// A pool holding at most `capacity` sessions.
-    pub fn new(capacity: usize, metrics: SharedMetrics) -> SessionPool {
+    /// A pool holding at most `capacity` sessions, whose `serve.evict`
+    /// fault fires from `shots` (the owning engine's).
+    pub fn new(capacity: usize, metrics: SharedMetrics, shots: Arc<Shots>) -> SessionPool {
         SessionPool {
             entries: Mutex::new(Vec::new()),
             capacity: capacity.max(1),
             clock: AtomicU64::new(0),
             metrics,
+            shots,
         }
     }
 
     fn lock(&self) -> MutexGuard<'_, Vec<Entry>> {
-        // A panicking worker must not wedge the pool for everyone else;
+        // A panicking request must not wedge the pool for everyone else;
         // entries are only ever swapped whole, so the state is valid.
         self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -157,7 +161,7 @@ impl SessionPool {
             self.metrics.counter_add("serve.pool.misses", 1);
             return Ok(None);
         };
-        if netexpl_faults::triggered(netexpl_faults::sites::SERVE_EVICT) {
+        if self.shots.fire(sites::SERVE_EVICT) {
             entries.remove(pos);
             self.publish_size(entries.len());
             self.metrics.counter_add("serve.pool.quarantined", 1);
@@ -195,7 +199,7 @@ impl SessionPool {
         session
     }
 
-    /// Remove an entry outright (worker panic, interrupt, fault): the
+    /// Remove an entry outright (request panic, interrupt, fault): the
     /// session is never handed out again; in-flight holders keep their
     /// `Arc`.
     pub fn quarantine(&self, key: &SessionKey) {
@@ -236,7 +240,7 @@ Req1 { !(P1 -> ... -> P2) }
 
     #[test]
     fn cold_then_warm_then_quarantine() {
-        let pool = SessionPool::new(2, SharedMetrics::new());
+        let pool = SessionPool::new(2, SharedMetrics::new(), Arc::default());
         let key = SessionKey::new("paper", SPEC);
         assert!(pool.acquire(&key).unwrap().is_none());
         pool.insert(key.clone(), build_session("paper", SPEC));
@@ -249,7 +253,7 @@ Req1 { !(P1 -> ... -> P2) }
     #[test]
     fn lru_eviction_drops_the_oldest() {
         let metrics = SharedMetrics::new();
-        let pool = SessionPool::new(2, metrics.clone());
+        let pool = SessionPool::new(2, metrics.clone(), Arc::default());
         let spec_b = SPEC.replace("Req1", "ReqB");
         let spec_c = SPEC.replace("Req1", "ReqC");
         let (ka, kb, kc) = (
@@ -271,11 +275,11 @@ Req1 { !(P1 -> ... -> P2) }
 
     #[test]
     fn evict_fault_discards_the_entry_with_a_typed_error() {
-        let _serial = netexpl_faults::test_lock();
-        let pool = SessionPool::new(2, SharedMetrics::new());
+        let shots = Arc::new(Shots::default());
+        let pool = SessionPool::new(2, SharedMetrics::new(), Arc::clone(&shots));
         let key = SessionKey::new("paper", SPEC);
         pool.insert(key.clone(), build_session("paper", SPEC));
-        netexpl_faults::arm_shots(netexpl_faults::sites::SERVE_EVICT, 1);
+        shots.arm(sites::SERVE_EVICT, 1);
         let err = match pool.acquire(&key) {
             Err(e) => e,
             Ok(_) => panic!("armed evict fault must fail the acquire"),

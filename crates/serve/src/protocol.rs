@@ -31,11 +31,12 @@ use serde_json::Value;
 /// files; anything beyond this is a client bug or abuse, not a workload.
 pub const DEFAULT_MAX_REQUEST_BYTES: usize = 64 * 1024;
 
-/// NX801: shed at admission.
-pub fn overloaded(depth: usize, capacity: usize) -> Error {
+/// NX801: shed at admission, with `waiting` of `capacity` waiting places
+/// taken.
+pub fn overloaded(waiting: usize, capacity: usize) -> Error {
     Error::Serve {
         code: "NX801".into(),
-        message: format!("server overloaded: queue at {depth}/{capacity}, request shed"),
+        message: format!("server overloaded: {waiting} waiting of {capacity}, request shed"),
     }
 }
 
@@ -55,11 +56,11 @@ pub fn oversized(limit: usize) -> Error {
     }
 }
 
-/// NX804: the worker handling this request crashed.
+/// NX804: the pipeline handling this request panicked.
 pub fn worker_crashed(detail: &str) -> Error {
     Error::Serve {
         code: "NX804".into(),
-        message: format!("worker crashed handling this request ({detail}); worker respawned"),
+        message: format!("worker crashed handling this request ({detail})"),
     }
 }
 
@@ -206,9 +207,6 @@ fn opt_bool(obj: &Value, key: &str) -> Result<bool, Error> {
 
 /// Decode one frame into a [`Request`].
 pub fn decode(frame: &[u8]) -> Result<Request, Error> {
-    if netexpl_faults::triggered(netexpl_faults::sites::SERVE_DECODE) {
-        return Err(malformed("fault injected at serve.decode"));
-    }
     let text = std::str::from_utf8(frame).map_err(|e| malformed(format!("not UTF-8: {e}")))?;
     if text.trim().is_empty() {
         return Err(malformed("empty frame"));

@@ -1,150 +1,140 @@
-//! The bounded admission queue.
-//!
-//! Every heavy request (`explain`, `lint`) passes through one
-//! fixed-capacity queue between the connection threads (producers) and
-//! the worker pool (consumers). Admission is the *only* place load
-//! shedding happens, and it is explicit: a full queue rejects the push
-//! immediately ([`PushError::Full`] → NX801) instead of queueing
-//! unboundedly and timing everything out later. Draining closes the
-//! queue: queued jobs still drain to workers, new pushes are refused
-//! ([`PushError::Closed`] → NX805), and once empty the consumers see
-//! [`Queue::pop`] return `None` and exit.
+//! The admission gate for heavy requests: a bounded number of run slots
+//! and a bounded wait for one. Requests are never handed off; each waits
+//! on its own connection thread and runs there once it holds a slot.
 
-use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
-/// Why a push was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushError {
-    /// The queue is at capacity — the request is shed (NX801).
-    Full,
-    /// The queue is closed (server draining) — the request is refused
-    /// (NX805).
-    Closed,
+use netexpl_obs::SharedMetrics;
+
+/// At most `slots` heavy requests run at once and at most `room` more
+/// wait for a slot; [`Admission::enter`] sheds the rest.
+pub(crate) struct Admission {
+    /// `(running, waiting)`.
+    state: Mutex<(usize, usize)>,
+    freed: Condvar,
+    slots: usize,
+    room: usize,
 }
 
-struct State<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
+/// A running request's slot, given back on drop.
+pub(crate) struct Permit<'a>(&'a Admission);
 
-/// A fixed-capacity MPMC queue with explicit rejection.
-pub struct Queue<T> {
-    state: Mutex<State<T>>,
-    capacity: usize,
-    ready: Condvar,
-}
-
-impl<T> Queue<T> {
-    /// A queue admitting at most `capacity` pending items.
-    pub fn new(capacity: usize) -> Queue<T> {
-        Queue {
-            state: Mutex::new(State {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            capacity: capacity.max(1),
-            ready: Condvar::new(),
+impl Admission {
+    pub(crate) fn new(slots: usize, room: usize) -> Admission {
+        Admission {
+            state: Mutex::new((0, 0)),
+            freed: Condvar::new(),
+            slots: slots.max(1),
+            room: room.max(1),
         }
     }
 
-    // Metrics must survive a consumer panicking while holding the lock,
-    // so poisoning is ignored everywhere: the state is a plain VecDeque
-    // whose invariants hold at every await point.
-    fn lock(&self) -> MutexGuard<'_, State<T>> {
+    // Each update is one counter step that a panic cannot interrupt, so
+    // a poisoned state is still valid.
+    fn lock(&self) -> MutexGuard<'_, (usize, usize)> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Try to admit an item; never blocks.
-    pub fn try_push(&self, item: T) -> Result<(), PushError> {
-        let mut s = self.lock();
-        if s.closed {
-            return Err(PushError::Closed);
-        }
-        if s.items.len() >= self.capacity {
-            return Err(PushError::Full);
-        }
-        s.items.push_back(item);
-        drop(s);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Block until an item is available or the queue is closed *and*
-    /// empty (then `None`: the consumer should exit).
-    pub fn pop(&self) -> Option<T> {
-        let mut s = self.lock();
-        loop {
-            if let Some(item) = s.items.pop_front() {
-                return Some(item);
-            }
-            if s.closed {
+    /// Take a slot, first waiting for one while every slot is busy; `None`
+    /// (shed) when the waiting room is full too. The gauge tracks the
+    /// waiting count.
+    pub(crate) fn enter(&self, metrics: &SharedMetrics) -> Option<Permit<'_>> {
+        let mut state = self.lock();
+        if state.0 >= self.slots {
+            if state.1 >= self.room {
                 return None;
             }
-            s = self.ready.wait(s).unwrap_or_else(|e| e.into_inner());
+            state.1 += 1;
+            metrics.gauge_set("serve.queue_depth", state.1 as i64);
+            while state.0 >= self.slots {
+                state = self.freed.wait(state).unwrap_or_else(|e| e.into_inner());
+            }
+            state.1 -= 1;
+            metrics.gauge_set("serve.queue_depth", state.1 as i64);
         }
+        state.0 += 1;
+        Some(Permit(self))
     }
 
-    /// Close the queue: refuse new pushes, drain what is queued, then
-    /// release all blocked consumers.
-    pub fn close(&self) {
-        self.lock().closed = true;
-        self.ready.notify_all();
+    /// Requests waiting for a slot right now.
+    pub(crate) fn waiting(&self) -> usize {
+        self.lock().1
     }
+}
 
-    /// Pending items right now.
-    pub fn depth(&self) -> usize {
-        self.lock().items.len()
-    }
-
-    /// True once [`Queue::close`] was called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.lock().0 -= 1;
+        self.0.freed.notify_one();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
-    #[test]
-    fn push_pop_respects_capacity() {
-        let q = Queue::new(2);
-        assert!(q.try_push(1).is_ok());
-        assert!(q.try_push(2).is_ok());
-        assert_eq!(q.try_push(3), Err(PushError::Full));
-        assert_eq!(q.depth(), 2);
-        assert_eq!(q.pop(), Some(1));
-        assert!(q.try_push(3).is_ok());
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
+    /// Start `n` threads that each wait for a slot, take it, and give it
+    /// straight back; returns once all `n` are waiting.
+    fn spawn_waiters<'s>(
+        s: &'s std::thread::Scope<'s, '_>,
+        gate: &'s Admission,
+        metrics: &'s SharedMetrics,
+        n: usize,
+    ) -> Vec<std::thread::ScopedJoinHandle<'s, bool>> {
+        let waiters = (0..n)
+            .map(|_| s.spawn(|| gate.enter(metrics).is_some()))
+            .collect();
+        while gate.waiting() < n {
+            std::thread::yield_now();
+        }
+        waiters
     }
 
     #[test]
-    fn close_drains_then_releases_consumers() {
-        let q = Arc::new(Queue::new(4));
-        q.try_push(7).unwrap();
-        q.close();
-        assert_eq!(q.try_push(8), Err(PushError::Closed));
-        // Queued work still drains after close…
-        assert_eq!(q.pop(), Some(7));
-        // …then consumers are released.
-        assert_eq!(q.pop(), None);
-
-        // A consumer blocked *before* the close is released too.
-        let q2 = Arc::new(Queue::<u32>::new(1));
-        let qc = Arc::clone(&q2);
-        let h = std::thread::spawn(move || qc.pop());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q2.close();
-        assert_eq!(h.join().unwrap(), None);
+    fn push_pop_respects_capacity() {
+        // One slot and two waiting places: the first request runs, the
+        // next two wait, the fourth is shed.
+        let gate = Admission::new(1, 2);
+        let metrics = SharedMetrics::new();
+        let running = gate.enter(&metrics).expect("a free slot admits at once");
+        std::thread::scope(|s| {
+            let waiters = spawn_waiters(s, &gate, &metrics, 2);
+            assert_eq!(metrics.gauge("serve.queue_depth"), Some(2));
+            assert!(
+                gate.enter(&metrics).is_none(),
+                "slot and waiting room both full: shed"
+            );
+            drop(running);
+            for waiter in waiters {
+                assert!(waiter.join().unwrap(), "each freed slot admits a waiter");
+            }
+        });
+        assert_eq!(metrics.gauge("serve.queue_depth"), Some(0));
+        assert_eq!(*gate.lock(), (0, 0), "every permit gave its slot back");
+        assert!(
+            gate.enter(&metrics).is_some(),
+            "a freed slot admits at once"
+        );
     }
 
     #[test]
     fn zero_capacity_is_clamped_to_one() {
-        let q = Queue::new(0);
-        assert!(q.try_push(1).is_ok());
-        assert_eq!(q.try_push(2), Err(PushError::Full));
+        // Zero slots and zero waiting places are clamped to one each.
+        let gate = Admission::new(0, 0);
+        let metrics = SharedMetrics::new();
+        let running = gate.enter(&metrics).expect("a free slot admits at once");
+        std::thread::scope(|s| {
+            let waiters = spawn_waiters(s, &gate, &metrics, 1);
+            assert_eq!(metrics.gauge("serve.queue_depth"), Some(1));
+            assert!(
+                gate.enter(&metrics).is_none(),
+                "slot and waiting room both full: shed"
+            );
+            drop(running);
+            for waiter in waiters {
+                assert!(waiter.join().unwrap(), "a freed slot admits the waiter");
+            }
+        });
+        assert_eq!(*gate.lock(), (0, 0), "every permit gave its slot back");
     }
 }

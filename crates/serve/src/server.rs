@@ -1,59 +1,63 @@
-//! The TCP server: accept loop, connection threads, and a supervised
-//! worker pool around the [`Engine`].
+//! The TCP server: accept loop, connection threads, and an admission
+//! gate around the [`Engine`].
 //!
 //! Threading model:
 //!
 //! - The **acceptor** (the thread calling [`Server::run`]) polls a
 //!   nonblocking listener. Draining stops the accepts; the loop then
-//!   waits for connections and workers to wind down before returning.
+//!   waits for the connections to wind down before returning.
 //! - One **connection thread** per client reads frames, answers control
-//!   ops (`ping`, `stats`, `arm-fault`, `shutdown`) inline, and pushes
-//!   heavy ops (`explain`, `lint`) through the bounded [`Queue`]. A full
-//!   queue sheds with NX801 *at admission* — the client hears about
-//!   overload immediately instead of timing out.
-//! - A **supervisor** owns N worker threads. Each request runs inside
-//!   `catch_unwind`: a panicking pipeline produces NX804 for *that
-//!   request only*, quarantines the session it was using, and the worker
-//!   keeps serving. If a worker thread itself dies, the supervisor
-//!   respawns a replacement — a poisoned worker can never take the
-//!   listener down.
+//!   ops (`ping`, `stats`, `arm-fault`, `shutdown`) inline, and runs
+//!   heavy ops (`explain`, `lint`) itself once the `Admission` gate
+//!   gives it a slot: at most `workers` heavy requests run at once, at
+//!   most `queue_capacity` more wait for a slot, and the next one is
+//!   shed with NX801 *at admission* — the client hears about overload
+//!   immediately instead of timing out.
+//! - Each heavy request runs inside `catch_unwind`: a panicking pipeline
+//!   produces NX804 for *that request only*, quarantines the session it
+//!   was using, and the connection keeps serving — a panicking request
+//!   can never take the listener down.
 //!
-//! Drain (`shutdown` request): stop admitting (new pushes see NX805,
-//! new connections are refused), let queued and in-flight work finish —
+//! Drain (`shutdown` request): stop admitting (heavy ops see NX805, new
+//! connections are refused), let running and waiting requests finish —
 //! `mode=cancel` additionally fires the drain [`CancelToken`] so
-//! budget-governed work interrupts cooperatively — then close the queue,
-//! join the workers, and return from [`Server::run`] with the final
-//! metrics. There is no signal handler (the workspace forbids `unsafe`,
-//! which `signal(2)` hooks need); orchestrators should send the
-//! `shutdown` op instead of SIGTERM.
+//! budget-governed work interrupts cooperatively — then wait for the
+//! connections to close and return from [`Server::run`] with the final
+//! metrics. A running request lives on its connection's thread, so the
+//! connection count covers it. There is no signal handler (the workspace
+//! forbids `unsafe`, which `signal(2)` hooks need); orchestrators should
+//! send the `shutdown` op instead of SIGTERM.
+//!
+//! [`CancelToken`]: netexpl_logic::budget::CancelToken
 
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use netexpl_core::Error;
+use netexpl_faults::sites;
 use netexpl_obs::SharedMetrics;
 use serde_json::Value;
 
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::{Engine, EngineConfig, Handled};
 use crate::protocol::{
-    self, decode, draining, err_response, ok_response, overloaded, read_frame, worker_crashed,
-    write_frame, Op, Request,
+    self, decode, draining, err_response, malformed, ok_response, overloaded, read_frame,
+    worker_crashed, write_frame, Op, Request,
 };
-use crate::queue::{PushError, Queue};
+use crate::queue::Admission;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks a free port.
     pub addr: String,
-    /// Worker threads executing heavy requests.
+    /// Heavy requests that run at once.
     pub workers: usize,
-    /// Bounded queue capacity — pending heavy requests beyond the
-    /// workers; the admission-control knob.
+    /// Heavy requests that may wait for a running one to finish; the
+    /// next is shed. The admission-control knob.
     pub queue_capacity: usize,
     /// Engine knobs (pool size, timeouts).
     pub engine: EngineConfig,
@@ -79,67 +83,17 @@ impl Default for ServerConfig {
     }
 }
 
-/// One queued heavy request plus the slot its worker answers into.
-struct Job {
-    op: Op,
-    timeout_ms: Option<u64>,
-    reply: Arc<Reply>,
-}
-
-/// A one-shot reply slot (the std library has no oneshot channel).
-struct Reply {
-    slot: Mutex<Option<Result<crate::engine::Handled, Error>>>,
-    ready: Condvar,
-}
-
-impl Reply {
-    fn new() -> Arc<Reply> {
-        Arc::new(Reply {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn fulfill(&self, r: Result<crate::engine::Handled, Error>) {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some(r);
-        self.ready.notify_all();
-    }
-
-    /// Wait up to `timeout`; `None` means the worker was lost.
-    fn wait(&self, timeout: Duration) -> Option<Result<crate::engine::Handled, Error>> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(r) = slot.take() {
-                return Some(r);
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            let (s, _) = self
-                .ready
-                .wait_timeout(slot, left)
-                .unwrap_or_else(|e| e.into_inner());
-            slot = s;
-        }
-    }
-}
-
 struct Shared {
     config: ServerConfig,
     engine: Engine,
-    queue: Queue<Job>,
+    admission: Admission,
     metrics: SharedMetrics,
     /// Set by the `shutdown` op; the acceptor polls it.
     draining: AtomicBool,
     /// Globally monotone response sequence.
     seq: AtomicU64,
-    /// Live connection threads.
+    /// Live connection threads, running requests included.
     connections: AtomicUsize,
-    /// Requests currently inside a worker.
-    in_flight: AtomicUsize,
 }
 
 impl Shared {
@@ -168,17 +122,16 @@ impl Server {
         })?;
         let metrics = SharedMetrics::new();
         let engine = Engine::new(config.engine.clone(), metrics.clone());
-        let queue = Queue::new(config.queue_capacity);
+        let admission = Admission::new(config.workers, config.queue_capacity);
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
                 engine,
-                queue,
+                admission,
                 metrics,
                 draining: AtomicBool::new(false),
                 seq: AtomicU64::new(0),
                 connections: AtomicUsize::new(0),
-                in_flight: AtomicUsize::new(0),
                 config,
             }),
         })
@@ -199,7 +152,6 @@ impl Server {
     /// Run until drained. Blocks; returns the final metrics snapshot.
     pub fn run(self) -> netexpl_obs::MetricsRegistry {
         let shared = self.shared;
-        let supervisor = spawn_supervisor(Arc::clone(&shared));
 
         loop {
             match self.listener.accept() {
@@ -211,7 +163,7 @@ impl Server {
                         refuse(stream, &shared);
                         continue;
                     }
-                    if netexpl_faults::triggered(netexpl_faults::sites::SERVE_ACCEPT) {
+                    if shared.engine.fault(sites::SERVE_ACCEPT) {
                         // Injected admission failure: the connection gets
                         // a typed shed and closes; the server lives on.
                         shared.metrics.counter_add("serve.shed", 1);
@@ -249,18 +201,12 @@ impl Server {
             }
         }
 
-        // Draining: connections stop taking requests (NX805); wait for
-        // the ones mid-request, then release the workers.
+        // Draining: connections stop taking heavy requests (NX805); wait
+        // for them to finish the ones they are running and close.
         let drain_deadline = Instant::now() + shared.config.engine.max_timeout;
-        while (shared.connections.load(Ordering::SeqCst) > 0
-            || shared.in_flight.load(Ordering::SeqCst) > 0
-            || shared.queue.depth() > 0)
-            && Instant::now() < drain_deadline
-        {
+        while shared.connections.load(Ordering::SeqCst) > 0 && Instant::now() < drain_deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        shared.queue.close();
-        let _ = supervisor.join();
         shared.metrics.counter_add("serve.drained", 1);
         shared.metrics.snapshot()
     }
@@ -271,73 +217,6 @@ fn refuse(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     let seq = shared.next_seq();
     let _ = write_frame(&mut stream, &err_response(None, seq, &draining()));
-}
-
-/// The supervisor: keeps `workers` worker threads alive until the queue
-/// closes. A worker that exits while work could still arrive (a panic
-/// escaping the per-request envelope) is respawned.
-fn spawn_supervisor(shared: Arc<Shared>) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        let n = shared.config.workers.max(1);
-        let mut handles: Vec<std::thread::JoinHandle<()>> =
-            (0..n).map(|_| spawn_worker(Arc::clone(&shared))).collect();
-        loop {
-            std::thread::sleep(Duration::from_millis(10));
-            let closed = shared.queue.is_closed();
-            let mut alive = Vec::with_capacity(handles.len());
-            for h in handles.drain(..) {
-                if h.is_finished() {
-                    let _ = h.join();
-                    if !closed {
-                        shared.metrics.counter_add("serve.worker.respawns", 1);
-                        alive.push(spawn_worker(Arc::clone(&shared)));
-                    }
-                } else {
-                    alive.push(h);
-                }
-            }
-            handles = alive;
-            if closed && handles.is_empty() {
-                return;
-            }
-        }
-    })
-}
-
-fn spawn_worker(shared: Arc<Shared>) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        while let Some(job) = shared.queue.pop() {
-            shared
-                .metrics
-                .gauge_set("serve.queue_depth", shared.queue.depth() as i64);
-            shared.in_flight.fetch_add(1, Ordering::SeqCst);
-            let worker_fault = netexpl_faults::triggered(netexpl_faults::sites::SERVE_WORKER);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if worker_fault {
-                    panic!("fault injected at serve.worker");
-                }
-                shared.engine.handle(&job.op, job.timeout_ms)
-            }));
-            let result = match outcome {
-                Ok(r) => r,
-                Err(payload) => {
-                    // The pipeline panicked: this request fails typed,
-                    // the session it touched is quarantined, the worker
-                    // carries on. The panic payload is best-effort text.
-                    let detail = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "panic".into());
-                    shared.engine.quarantine_for(&job.op);
-                    shared.metrics.counter_add("serve.worker.panics", 1);
-                    Err(worker_crashed(&detail))
-                }
-            };
-            job.reply.fulfill(result);
-            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        }
-    })
 }
 
 /// Serve one connection until EOF, a fatal frame error, or drain.
@@ -363,7 +242,12 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 return;
             }
         };
-        let request = match decode(&frame) {
+        let decoded = if shared.engine.fault(sites::SERVE_DECODE) {
+            Err(malformed("fault injected at serve.decode"))
+        } else {
+            decode(&frame)
+        };
+        let request = match decoded {
             Ok(r) => r,
             Err(e) => {
                 // Framing is intact: answer typed and keep serving this
@@ -407,7 +291,7 @@ fn respond(request: &Request, shared: &Shared) -> String {
             let stats = serde_json::from_str(&snapshot.to_json()).unwrap_or(Value::Null);
             let result = Value::object([
                 ("pool_sessions", Value::from(shared.engine.pool_len())),
-                ("queue_depth", Value::from(shared.queue.depth())),
+                ("queue_depth", Value::from(shared.admission.waiting())),
                 (
                     "draining",
                     Value::from(shared.draining.load(Ordering::SeqCst)),
@@ -418,14 +302,9 @@ fn respond(request: &Request, shared: &Shared) -> String {
         }
         Op::ArmFault { site, shots } => {
             let seq = shared.next_seq();
-            if !netexpl_faults::sites::ALL.contains(&site.as_str()) {
-                return err_response(
-                    id,
-                    seq,
-                    &protocol::malformed(format!("unknown fault site `{site}`")),
-                );
+            if let Err(e) = shared.engine.arm_fault(site, *shots) {
+                return err_response(id, seq, &e);
             }
-            netexpl_faults::arm_shots(site, *shots);
             ok_response(
                 id,
                 seq,
@@ -461,59 +340,54 @@ fn respond(request: &Request, shared: &Shared) -> String {
                 shared.metrics.counter_add("serve.shed", 1);
                 return err_response(id, seq, &draining());
             }
-            let reply = Reply::new();
-            let job = Job {
-                op: op.clone(),
-                timeout_ms: request.timeout_ms,
-                reply: Arc::clone(&reply),
+            let Some(outcome) = run_heavy(op, request.timeout_ms, shared) else {
+                let seq = shared.next_seq();
+                shared.metrics.counter_add("serve.shed", 1);
+                return err_response(
+                    id,
+                    seq,
+                    &overloaded(shared.admission.waiting(), shared.config.queue_capacity),
+                );
             };
-            match shared.queue.try_push(job) {
-                Ok(()) => {}
-                Err(PushError::Full) => {
-                    let seq = shared.next_seq();
-                    shared.metrics.counter_add("serve.shed", 1);
-                    return err_response(
-                        id,
-                        seq,
-                        &overloaded(shared.queue.depth(), shared.config.queue_capacity),
-                    );
-                }
-                Err(PushError::Closed) => {
-                    let seq = shared.next_seq();
-                    shared.metrics.counter_add("serve.shed", 1);
-                    return err_response(id, seq, &draining());
-                }
-            }
-            shared
-                .metrics
-                .gauge_set("serve.queue_depth", shared.queue.depth() as i64);
-            // Generous envelope: queueing + the request's own deadline.
-            // Workers always fulfil (panics are caught), so an expiry
-            // here means the worker thread itself was lost.
-            let envelope = shared
-                .config
-                .engine
-                .max_timeout
-                .saturating_mul(2)
-                .max(Duration::from_secs(1));
-            let outcome = reply.wait(envelope);
             let seq = shared.next_seq();
             match outcome {
-                Some(Ok(handled)) => {
+                Ok(handled) => {
                     shared.metrics.observe("serve.request_ms", ms(started));
                     ok_response(id, seq, handled.warm, ms(started), handled.result)
                 }
-                Some(Err(e)) => {
+                Err(e) => {
                     shared.metrics.counter_add("serve.requests.failed", 1);
                     err_response(id, seq, &e)
-                }
-                None => {
-                    shared.metrics.counter_add("serve.requests.lost", 1);
-                    err_response(id, seq, &worker_crashed("reply slot timed out"))
                 }
             }
         }
     }
+}
+
+/// Run one heavy request on this thread once admission grants a slot;
+/// `None` means it was shed. The slot is given back before the reply is
+/// written, so a slow client never holds one.
+fn run_heavy(op: &Op, timeout_ms: Option<u64>, shared: &Shared) -> Option<Result<Handled, Error>> {
+    let _permit = shared.admission.enter(&shared.metrics)?;
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if shared.engine.fault(sites::SERVE_WORKER) {
+            panic!("fault injected at serve.worker");
+        }
+        shared.engine.handle(op, timeout_ms)
+    }));
+    Some(outcome.unwrap_or_else(|payload| {
+        // The pipeline panicked: this request fails typed, the session it
+        // touched is quarantined, the connection carries on. The panic
+        // payload is best-effort text.
+        let detail = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "panic".into());
+        shared.engine.quarantine_for(op);
+        shared.metrics.counter_add("serve.worker.panics", 1);
+        Err(worker_crashed(&detail))
+    }))
 }
 
 fn ms(started: Instant) -> f64 {

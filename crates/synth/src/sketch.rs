@@ -28,11 +28,6 @@ pub enum Hole<T> {
 }
 
 impl<T> Hole<T> {
-    /// True if symbolic.
-    pub fn is_symbolic(&self) -> bool {
-        matches!(self, Hole::Symbolic(_))
-    }
-
     /// The symbolic term, if any.
     pub fn term(&self) -> Option<TermId> {
         match self {

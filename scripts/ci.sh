@@ -29,6 +29,15 @@ echo "==> lift differential: simplified-defs session lifter vs raw-defs oracle, 
 PROPTEST_CASES=64 cargo test -q --test lift_model_filter \
     filtered_session_lifter_matches_the_fresh_oracle
 
+echo "==> fault hermeticity: fault and serve tests, 20 rounds, 8 threads, no lock"
+# An armed fault stays on the thread guard or the server that armed it, so
+# these binaries run their tests side by side with no cross-test lock; a
+# fault that leaks into a neighbouring test fails some round.
+for round in $(seq 1 20); do
+  out="$(cargo test -q --test fault_injection --test serve_faults --test serve_soak \
+      -- --test-threads=8 2>&1)" || { echo "round $round failed"; echo "$out"; exit 1; }
+done
+
 echo "==> perfbench self-test: every workload catches a corrupted expectation"
 # The benchmark harness (perfbench/, its own cargo workspace) builds against
 # the workspace crates by path: this fails as soon as an API change breaks
@@ -272,6 +281,13 @@ awk '
     if (ms[2] >= ms[1]) { printf "warm (%sms) not faster than cold (%sms)\n", ms[2], ms[1]; exit 1 }
   }
 ' "$OBS_DIR/serve-cold.json" "$OBS_DIR/serve-warm.json"
+# Only the four serve.* sites are armable through the server; a pipeline
+# site is rejected (NX802) and arms nothing.
+status=0
+./target/release/netexpl request --addr "$ADDR" --op arm-fault \
+    --site session.query > /dev/null 2> "$OBS_DIR/serve-arm.err" || status=$?
+[ "$status" -eq 1 ] && grep -q 'error\[NX802\]' "$OBS_DIR/serve-arm.err" \
+  || { echo "arm-fault did not reject session.query with NX802"; cat "$OBS_DIR/serve-arm.err"; exit 1; }
 # One armed worker crash: that request fails with the relayed NX804, the
 # next one succeeds on a fresh session.
 ./target/release/netexpl request --addr "$ADDR" --op arm-fault \

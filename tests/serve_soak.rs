@@ -4,9 +4,8 @@
 //! connection hangs, per-connection `seq` is strictly monotone, and the
 //! server drains cleanly afterwards.
 //!
-//! The armed fault is process-wide (`arm-fault` arms counted shots), and
-//! a worker of any server in this binary may consume it, so every test
-//! here holds [`netexpl_faults::test_lock`] for its full duration.
+//! The armed fault is a shot on this test's server, which no other server
+//! in the binary can consume, so these tests need no lock.
 
 mod common;
 
@@ -22,7 +21,6 @@ struct Tally {
 
 #[test]
 fn concurrent_clients_mixed_traffic_and_one_fault() {
-    let _serial = netexpl_faults::test_lock();
     let server = TestServer::start(test_config(3, 8));
 
     // Warm the pool once so the fleet mostly exercises the warm path
@@ -115,13 +113,10 @@ fn concurrent_clients_mixed_traffic_and_one_fault() {
     assert_eq!(metrics.counter("serve.shutdowns"), 1);
     assert_eq!(metrics.counter("serve.worker.panics"), 1);
     assert!(metrics.counter("serve.requests") as usize >= CLIENTS * REQUESTS);
-    // Nobody was answered by the lost-worker fallback.
-    assert_eq!(metrics.counter("serve.requests.lost"), 0);
 }
 
 #[test]
 fn draining_server_refuses_heavy_work_but_finishes_the_connection() {
-    let _serial = netexpl_faults::test_lock();
     let server = TestServer::start(test_config(2, 4));
     let mut open = Client::connect(server.addr);
     // A control client initiates the drain.
@@ -147,19 +142,18 @@ fn draining_server_refuses_heavy_work_but_finishes_the_connection() {
 
 #[test]
 fn overload_sheds_with_nx801_instead_of_queueing_unbounded() {
-    let _serial = netexpl_faults::test_lock();
-    // One worker, a one-slot queue, and a worker wedged by an armed
+    // One slot, one waiting place, and a request wedged by an armed
     // crash *would* be ideal — but deterministic overload is simpler:
-    // saturate with slow cold builds from distinct specs so the queue
-    // fills, then verify at least the admission contract: every response
-    // is typed, and any shed is NX801.
+    // saturate with slow cold builds from distinct specs so the waiting
+    // room fills, then verify at least the admission contract: every
+    // response is typed, and any shed is NX801.
     let server = TestServer::start(test_config(1, 1));
     let addr = server.addr;
     let handles: Vec<_> = (0..4)
         .map(|c| {
             std::thread::spawn(move || {
                 // Distinct block names → distinct pool keys → cold builds
-                // that hold the single worker long enough to pile up.
+                // that hold the single slot long enough to pile up.
                 let spec = SERVE_SPEC.replace("Req1", &format!("Req{c}x"));
                 let line = format!(
                     r#"{{"op":"explain","topology":"paper","spec":"{}","skip_lift":true,"workers":1,"id":"c{c}"}}"#,
@@ -184,7 +178,7 @@ fn overload_sheds_with_nx801_instead_of_queueing_unbounded() {
             None => panic!("response without ok: {resp:?}"),
         }
     }
-    // With 4 concurrent requests against 1 worker + 1 queue slot, at
+    // With 4 concurrent requests against 1 slot + 1 waiting place, at
     // least one must have been admitted and completed.
     assert!(shed < responses.len(), "everything shed: {responses:?}");
     let metrics = server.drain();
