@@ -771,7 +771,7 @@ pub fn diff(args: &[String]) -> Result<(), Error> {
     )
     .map_err(Error::Encode)?;
     let prior = explain_all_cached(
-        &mut ctx,
+        &ctx,
         &topo,
         &problem.vocab,
         sorts,

@@ -531,7 +531,7 @@ mod tests {
             EncodeCache::build(&mut ctx, topo, &vocab, sorts, net, EncodeOptions::default())
                 .unwrap();
         let prior = crate::explain_all_cached(
-            &mut ctx,
+            &ctx,
             topo,
             &vocab,
             sorts,

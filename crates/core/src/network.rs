@@ -233,11 +233,12 @@ pub fn explain_all(
 /// [`explain_all`] with a prebuilt [`EncodeCache`] — the warm entry point
 /// of `netexpl serve`, where the cache (and the context it was built in)
 /// persist across requests. `ctx` must be (a clone of) the context the
-/// cache was built in; the fan-out, budget split, and reporting are
-/// identical to [`explain_all`], minus the cache build.
+/// cache was built in. It is only read: every router works in its own
+/// clone. The fan-out, budget split, and reporting are identical to
+/// [`explain_all`], minus the cache build.
 #[allow(clippy::too_many_arguments)]
 pub fn explain_all_cached(
-    ctx: &mut Ctx,
+    ctx: &Ctx,
     topo: &Topology,
     vocab: &Vocabulary,
     sorts: VocabSorts,
@@ -316,7 +317,7 @@ pub(crate) struct SubsetRun {
 /// replay behave exactly as on a full run.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_routers(
-    ctx: &mut Ctx,
+    ctx: &Ctx,
     topo: &Topology,
     vocab: &Vocabulary,
     sorts: VocabSorts,
@@ -341,7 +342,6 @@ pub(crate) fn run_routers(
     let shares = budget.split(workers);
 
     let next = AtomicUsize::new(0);
-    let base: &Ctx = ctx;
     let cache_ref = &cache;
     let explain_opts = &options.explain;
     let fail_fast = options.fail_fast;
@@ -372,7 +372,7 @@ pub(crate) fn run_routers(
                     let t0 = Instant::now();
                     // Fresh clone per router: the pipeline's artifacts must
                     // not depend on what ran earlier on this worker.
-                    let mut worker_ctx = base.clone();
+                    let mut worker_ctx = ctx.clone();
                     let mut opts = explain_opts.clone();
                     opts.budget = share.clone();
                     let outcome = match explain_cached(

@@ -54,13 +54,31 @@ pub fn run(
     let span = netexpl_obs::Span::enter("lint.sat");
     let mut ctx = Ctx::new();
     let sorts = vocab.sorts(&mut ctx);
+    // One session per network: the domain constraints are encoded once and
+    // every entry probe of every map rides on them as an assumption query,
+    // so learned clauses from earlier probes prune the search for later ones.
+    let mut route = FreeRoute::new(&mut ctx, vocab, sorts);
+    let mut session = SmtSession::new();
+    session.assert(&mut ctx, &[route.domain]);
     let mut diags = Diagnostics::new();
     let mut maps = 0usize;
     let mut stats = ProbeStats::default();
     for (r, n, dir, map) in sessions(net) {
         maps += 1;
         lint_map(
-            &mut ctx, topo, vocab, sorts, r, n, dir, map, spans, skip, prefilter, &mut stats,
+            &mut ctx,
+            &mut route,
+            &mut session,
+            topo,
+            vocab,
+            r,
+            n,
+            dir,
+            map,
+            spans,
+            skip,
+            prefilter,
+            &mut stats,
             &mut diags,
         );
     }
@@ -82,7 +100,7 @@ struct ProbeStats {
     solved: u64,
 }
 
-/// The symbolic route state one map is linted against.
+/// The symbolic route state every map of a network is linted against.
 struct FreeRoute {
     /// `Val`-sorted variable constrained to the prefix variants.
     prefix: TermId,
@@ -91,18 +109,22 @@ struct FreeRoute {
     /// One free boolean per vocabulary community.
     comms: Vec<TermId>,
     /// Free booleans for anything the vocabulary cannot pin down,
-    /// allocated on demand and shared within the map.
+    /// allocated on demand and shared across maps: every probe is an
+    /// assumption query against the domain alone, so a boolean one map
+    /// mentions constrains nothing another map asks.
     free: BTreeMap<String, TermId>,
     /// Domain constraints on `prefix` and `from`.
     domain: TermId,
+    /// The vocabulary sorts `prefix` and `from` range over.
+    sorts: VocabSorts,
 }
 
 impl FreeRoute {
-    fn new(ctx: &mut Ctx, vocab: &Vocabulary, sorts: VocabSorts, tag: &str) -> FreeRoute {
-        let prefix = ctx.enum_var(&format!("lint!{tag}!prefix"), sorts.val);
-        let from = ctx.enum_var(&format!("lint!{tag}!from"), sorts.val);
+    fn new(ctx: &mut Ctx, vocab: &Vocabulary, sorts: VocabSorts) -> FreeRoute {
+        let prefix = ctx.enum_var("lint!prefix", sorts.val);
+        let from = ctx.enum_var("lint!from", sorts.val);
         let comms = (0..vocab.communities.len())
-            .map(|i| ctx.bool_var(&format!("lint!{tag}!comm!{i}")))
+            .map(|i| ctx.bool_var(&format!("lint!comm!{i}")))
             .collect();
         let mut domain = Vec::new();
         if !vocab.prefixes.is_empty() {
@@ -130,30 +152,25 @@ impl FreeRoute {
             comms,
             free: BTreeMap::new(),
             domain,
+            sorts,
         }
     }
 
-    fn free_bool(&mut self, ctx: &mut Ctx, tag: &str, key: String) -> TermId {
+    fn free_bool(&mut self, ctx: &mut Ctx, key: String) -> TermId {
         *self
             .free
             .entry(key.clone())
-            .or_insert_with(|| ctx.bool_var(&format!("lint!{tag}!free!{key}")))
+            .or_insert_with(|| ctx.bool_var(&format!("lint!free!{key}")))
     }
 
     /// Encode one match clause as a term over the free route.
-    fn clause(
-        &mut self,
-        ctx: &mut Ctx,
-        vocab: &Vocabulary,
-        sorts: VocabSorts,
-        tag: &str,
-        m: &MatchClause,
-    ) -> TermId {
+    fn clause(&mut self, ctx: &mut Ctx, vocab: &Vocabulary, m: &MatchClause) -> TermId {
+        let sorts = self.sorts;
         match m {
             MatchClause::PrefixList(ps) => {
                 if vocab.prefixes.is_empty() {
                     // No prefix universe: cannot decide, stay free.
-                    return self.free_bool(ctx, tag, format!("pfxlist!{ps:?}"));
+                    return self.free_bool(ctx, format!("pfxlist!{ps:?}"));
                 }
                 let alts: Vec<TermId> = vocab
                     .prefixes
@@ -169,15 +186,15 @@ impl FreeRoute {
             }
             MatchClause::Community(c) => match vocab.communities.iter().position(|vc| vc == c) {
                 Some(i) => self.comms[i],
-                None => self.free_bool(ctx, tag, format!("comm!{c}")),
+                None => self.free_bool(ctx, format!("comm!{c}")),
             },
-            MatchClause::AsInPath(a) => self.free_bool(ctx, tag, format!("as!{}", a.0)),
+            MatchClause::AsInPath(a) => self.free_bool(ctx, format!("as!{}", a.0)),
             MatchClause::FromNeighbor(n) => match vocab.routers.iter().position(|r| r == n) {
                 Some(i) => {
                     let c = ctx.enum_const(sorts.val, sorts.val_router(i));
                     ctx.eq(self.from, c)
                 }
-                None => self.free_bool(ctx, tag, format!("nbr!{}", n.0)),
+                None => self.free_bool(ctx, format!("nbr!{}", n.0)),
             },
         }
     }
@@ -186,9 +203,10 @@ impl FreeRoute {
 #[allow(clippy::too_many_arguments)]
 fn lint_map(
     ctx: &mut Ctx,
+    route: &mut FreeRoute,
+    session: &mut SmtSession,
     topo: &Topology,
     vocab: &Vocabulary,
-    sorts: VocabSorts,
     r: RouterId,
     n: RouterId,
     dir: Dir,
@@ -199,12 +217,6 @@ fn lint_map(
     stats: &mut ProbeStats,
     diags: &mut Diagnostics,
 ) {
-    if map.entries.is_empty() {
-        return;
-    }
-    let tag = format!("{}!{}!{dir}", r.0, n.0);
-    let mut route = FreeRoute::new(ctx, vocab, sorts, &tag);
-
     // m_i for every entry, in evaluation order.
     let match_terms: Vec<TermId> = map
         .entries
@@ -213,17 +225,11 @@ fn lint_map(
             let cs: Vec<TermId> = e
                 .matches
                 .iter()
-                .map(|m| route.clause(ctx, vocab, sorts, &tag, m))
+                .map(|m| route.clause(ctx, vocab, m))
                 .collect();
             ctx.and(&cs)
         })
         .collect();
-
-    // One session per map: the domain constraints are encoded once and every
-    // entry probe rides on it as an assumption query, so learned clauses from
-    // earlier entries prune the search for later ones.
-    let mut session = SmtSession::new();
-    session.assert(ctx, &[route.domain]);
 
     for (i, &m_i) in match_terms.iter().enumerate() {
         let e = &map.entries[i];
@@ -478,6 +484,45 @@ mod tests {
         // Entry 0 is satisfiable (both communities on), entry 1 reachable
         // (100:1 without 100:2 escapes entry 0).
         assert!(ds.is_empty(), "{ds}");
+    }
+
+    /// Two maps of one network share the session and the free route, yet
+    /// each map's probes see only its own entries: the same two entries in
+    /// opposite orders leave the /24 dead only where the /16 comes first.
+    #[test]
+    fn maps_sharing_a_session_stay_independent() {
+        let (topo, h) = paper_topology();
+        let vocab = vocab_with(&topo, vec![pfx("10.1.2.0/24"), pfx("10.1.3.0/24")]);
+        let wide = RouteMapEntry {
+            seq: 10,
+            action: Action::Permit,
+            matches: vec![MatchClause::PrefixList(vec![pfx("10.1.0.0/16")])],
+            sets: vec![],
+        };
+        let narrow = RouteMapEntry {
+            seq: 20,
+            action: Action::Deny,
+            matches: vec![MatchClause::PrefixList(vec![pfx("10.1.2.0/24")])],
+            sets: vec![],
+        };
+        let mut net = NetworkConfig::new();
+        net.router_mut(h.r1).set_import(
+            h.p1,
+            RouteMap::new("wide_first", vec![wide.clone(), narrow.clone()]),
+        );
+        net.router_mut(h.r3).set_export(
+            h.customer,
+            RouteMap::new("narrow_first", vec![narrow, wide]),
+        );
+        let ds = lint(&topo, &vocab, &net);
+        let unreachable = ds.with_code(Code::UnreachableEntry);
+        assert_eq!(unreachable.len(), 1, "{ds}");
+        assert!(
+            unreachable[0].message.contains("`wide_first`"),
+            "{}",
+            unreachable[0].message
+        );
+        assert!(ds.with_code(Code::ContradictoryMatch).is_empty(), "{ds}");
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Eager lowering of finite-domain theory atoms to propositional logic.
 //!
-//! Enumeration variables are one-hot encoded (one boolean per variant plus
-//! an exactly-one side constraint); bounded integer variables are binary
-//! encoded as offsets from their lower bound (with a range side constraint).
+//! Enumeration variables are one-hot encoded: one boolean per variant plus
+//! an exactly-one side constraint, which is the at-least-one clause and a
+//! sequential at-most-one — a ladder of n−1 fresh booleans and 3n−4
+//! two-literal clauses, so every enum costs O(n) clauses, not the n(n−1)/2
+//! of the pairwise form. Bounded integer variables are binary encoded as
+//! offsets from their lower bound (with a range side constraint).
 //! Integer comparisons become comparator circuits whose size grows with the
 //! bit width, never with the domain: against a constant, the circuit is
 //! specialised per constant bit; between two variables, `=` is bitwise `↔`
@@ -151,15 +154,26 @@ impl BitBlaster {
         let bits: Vec<TermId> = (0..n)
             .map(|i| ctx.bool_var(&format!("{name}!is{i}")))
             .collect();
-        // Exactly-one: at least one, pairwise at most one.
+        // Exactly-one: at least one, and a sequential at-most-one. Ladder
+        // step `s_i` is forced once some bit up to `i` is set: a set bit
+        // forces its step, each step forces the next, and no bit may follow
+        // a held step.
         let at_least = ctx.or(&bits);
         self.side.push(at_least);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let ni = ctx.not(bits[i]);
-                let nj = ctx.not(bits[j]);
-                let amo = ctx.or2(ni, nj);
-                self.side.push(amo);
+        let mut held: Option<TermId> = None;
+        for (i, &bit) in bits.iter().enumerate() {
+            let not_bit = ctx.not(bit);
+            let not_held = held.map(|s| ctx.not(s));
+            if let Some(not_held) = not_held {
+                self.side.push(ctx.or2(not_bit, not_held));
+            }
+            if i + 1 < n {
+                let step = ctx.bool_var(&format!("{name}!amo{i}"));
+                self.side.push(ctx.or2(not_bit, step));
+                if let Some(not_held) = not_held {
+                    self.side.push(ctx.or2(not_held, step));
+                }
+                held = Some(step);
             }
         }
         self.enum_bits.insert(var, bits.clone());
@@ -465,6 +479,56 @@ mod tests {
         };
         let decoded = bb.decode(&ctx, &|v| v == bv);
         assert_eq!(decoded.get(VarId(0)), Some(Value::Enum(s, 1)));
+    }
+
+    /// An enum variable `x` of `n` variants, its indicator bits and its
+    /// side constraints.
+    fn enum_of(ctx: &mut Ctx, n: usize) -> (Vec<TermId>, Vec<TermId>) {
+        let names: Vec<String> = (0..n).map(|i| format!("v{i}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let s = ctx.enum_sort("S", &names);
+        let x = ctx.enum_var("x", s);
+        let TermNode::EnumVar(var) = *ctx.node(x) else {
+            unreachable!()
+        };
+        let mut bb = BitBlaster::new();
+        let bits = bb.enum_encoding(ctx, var);
+        (bits, bb.take_side_constraints())
+    }
+
+    /// The exactly-one side constraint grows linearly with the variant
+    /// count, and its models, projected onto the indicator bits, are
+    /// exactly the one-hot vectors.
+    #[test]
+    fn enum_exactly_one_is_linear_in_variants() {
+        let mut ctx = Ctx::new();
+        let (_, sides) = enum_of(&mut ctx, 40);
+        let mut cnf = crate::cnf::CnfBuilder::new();
+        for side in sides {
+            assert!(cnf.assert_term(&ctx, side));
+        }
+        let clauses = cnf.take_new_clauses().len();
+        assert!(clauses <= 3 * 40, "{clauses} clauses for 40 variants");
+
+        for n in 1..=6 {
+            let mut ctx = Ctx::new();
+            let (bits, sides) = enum_of(&mut ctx, n);
+            let side_conj = ctx.and(&sides);
+            let vars = ctx.free_vars(side_conj);
+            let mut projected = std::collections::BTreeSet::new();
+            Assignment::for_all_assignments(&ctx, &vars, 1 << 12, |asg| {
+                if asg.eval_bool(&ctx, side_conj) == Some(true) {
+                    let hot: Vec<bool> = bits
+                        .iter()
+                        .map(|&b| asg.eval_bool(&ctx, b) == Some(true))
+                        .collect();
+                    projected.insert(hot);
+                }
+            });
+            let one_hot: std::collections::BTreeSet<Vec<bool>> =
+                (0..n).map(|i| (0..n).map(|j| i == j).collect()).collect();
+            assert_eq!(projected, one_hot, "n = {n}");
+        }
     }
 
     #[test]

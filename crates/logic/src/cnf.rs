@@ -2,8 +2,11 @@
 //!
 //! Input terms must mention only boolean variables (run
 //! [`crate::bitblast::BitBlaster::lower`] first for theory atoms). Each
-//! compound subterm is assigned a definition literal; the output is
-//! equisatisfiable with the input and linear in its DAG size.
+//! compound subterm is assigned a definition literal with a two-way
+//! definition, so a literal can be asserted, negated or assumed alike; the
+//! output is equisatisfiable with the input and linear in its DAG size.
+//! An *asserted* top-level disjunction needs no definition: it becomes one
+//! plain clause over its disjuncts' literals.
 
 use std::collections::HashMap;
 
@@ -50,13 +53,27 @@ impl CnfBuilder {
         Self::default()
     }
 
-    /// Encode `t` and assert it (add its definition literal as a unit
-    /// clause). Returns `false` if `t` is the constant `false`.
+    /// Encode `t` and assert it. A disjunction becomes one clause over its
+    /// disjuncts' literals; any other term adds its definition literal as a
+    /// unit clause. Returns `false` if `t` is the constant `false`.
     pub fn assert_term(&mut self, ctx: &Ctx, t: TermId) -> bool {
-        match self.encode(ctx, t) {
-            ELit::Const(b) => b,
-            ELit::Lit(l) => {
-                self.clauses.push(vec![l]);
+        let TermNode::Or(cs) = ctx.node(t) else {
+            return match self.encode(ctx, t) {
+                ELit::Const(b) => b,
+                ELit::Lit(l) => {
+                    self.clauses.push(vec![l]);
+                    true
+                }
+            };
+        };
+        // Encode every disjunct before folding, so that each variable the
+        // term mentions is mapped even when the clause folds away.
+        let lits: Vec<ELit> = cs.iter().map(|&c| self.encode(ctx, c)).collect();
+        match fold_operands(&lits, true) {
+            None => true,
+            Some(clause) if clause.is_empty() => false,
+            Some(clause) => {
+                self.clauses.push(clause);
                 true
             }
         }
@@ -158,21 +175,9 @@ impl CnfBuilder {
 
     /// Tseitin definition for a conjunction of already-encoded literals.
     fn encode_and(&mut self, lits: &[ELit]) -> ELit {
-        let mut real: Vec<Lit> = Vec::with_capacity(lits.len());
-        for &l in lits {
-            match l {
-                ELit::Const(false) => return ELit::Const(false),
-                ELit::Const(true) => {}
-                ELit::Lit(l) => {
-                    if real.contains(&l.negated()) {
-                        return ELit::Const(false);
-                    }
-                    if !real.contains(&l) {
-                        real.push(l);
-                    }
-                }
-            }
-        }
+        let Some(real) = fold_operands(lits, false) else {
+            return ELit::Const(false);
+        };
         match real.len() {
             0 => ELit::Const(true),
             1 => ELit::Lit(real[0]),
@@ -212,6 +217,29 @@ impl CnfBuilder {
             }
         }
     }
+}
+
+/// The distinct literals of an n-ary gate's operands, constants dropped.
+/// `None` when the gate folds to its absorbing element `absorbing` (`false`
+/// for ∧, `true` for ∨): an operand is that constant, or two operands are
+/// complementary.
+fn fold_operands(lits: &[ELit], absorbing: bool) -> Option<Vec<Lit>> {
+    let mut real: Vec<Lit> = Vec::with_capacity(lits.len());
+    for &l in lits {
+        match l {
+            ELit::Const(b) if b == absorbing => return None,
+            ELit::Const(_) => {}
+            ELit::Lit(l) => {
+                if real.contains(&l.negated()) {
+                    return None;
+                }
+                if !real.contains(&l) {
+                    real.push(l);
+                }
+            }
+        }
+    }
+    Some(real)
 }
 
 #[cfg(test)]
@@ -338,8 +366,41 @@ mod tests {
         );
         assert!(builder.define_term(&ctx, ab).is_ok());
         assert!(builder.take_new_clauses().is_empty());
-        assert_eq!(builder.num_vars(), 5);
+        // a, b, ab's definition and c: the asserted `ab ∨ c` is a clause.
+        assert_eq!(builder.num_vars(), 4);
         assert!(builder.take_new_clauses().is_empty());
+    }
+
+    /// An asserted disjunction is one clause over its disjuncts, with no
+    /// definition variable. One that folds to `true` emits nothing, yet
+    /// still maps every variable it mentions, since models decode from the
+    /// map.
+    #[test]
+    fn asserted_disjunction_is_one_clause() {
+        let mut ctx = Ctx::new();
+        let a = ctx.bool_var("a");
+        let b = ctx.bool_var("b");
+        let c = ctx.bool_var("c");
+        let abc = ctx.or(&[a, b, c]);
+        let mut builder = CnfBuilder::new();
+        assert!(builder.assert_term(&ctx, abc));
+        let clauses = builder.take_new_clauses();
+        assert_eq!(clauses.len(), 1, "{clauses:?}");
+        assert_eq!(clauses[0].len(), 3, "{clauses:?}");
+        assert_eq!(builder.num_vars(), 3);
+
+        let t = ctx.mk_true();
+        let na = ctx.not(a);
+        for folded in [ctx.or(&[a, t, b]), ctx.or(&[a, b, na])] {
+            let mut builder = CnfBuilder::new();
+            assert!(builder.assert_term(&ctx, folded));
+            assert!(builder.take_new_clauses().is_empty());
+            let mapped: std::collections::HashSet<VarId> =
+                builder.var_map().keys().copied().collect();
+            let mentioned: std::collections::HashSet<VarId> =
+                ctx.free_vars(folded).into_iter().collect();
+            assert_eq!(mapped, mentioned);
+        }
     }
 
     mod prop {

@@ -4,7 +4,7 @@
 //! session with one query (synthesis's main solve, the [`crate::solver`]
 //! helpers); *query streams* against a shared assertion base — the lifter
 //! issuing hundreds of entailment checks against the same `defs`, lint
-//! probing every entry of one route-map's domain, diverse synthesis
+//! probing every route-map entry of a network against one domain, diverse synthesis
 //! enumerating models — keep one session alive and pay each cost once:
 //!
 //! - **Encode once.** A persistent [`BitBlaster`] and [`CnfBuilder`] are

@@ -245,9 +245,6 @@ impl Engine {
         workers: usize,
         budget: Budget,
     ) -> Result<Value, Error> {
-        // The pooled base context stays pristine; each request extends a
-        // clone (term ids survive cloning — the arena is append-only).
-        let mut ctx = session.ctx.clone();
         let explain_opts = ExplainOptions {
             skip_lift,
             budget,
@@ -259,6 +256,10 @@ impl Engine {
                 .topo
                 .router_by_name(name)
                 .ok_or_else(|| Error::Topology(format!("unknown router `{name}`")))?;
+            // The pooled base context stays pristine; a single-router
+            // request extends a clone (term ids survive cloning — the arena
+            // is append-only). The all-router path only reads it.
+            let mut ctx = session.ctx.clone();
             let e = explain_cached(
                 &mut ctx,
                 &session.topo,
@@ -275,7 +276,7 @@ impl Engine {
             return Ok(explanation_json(&e));
         }
         let all = explain_all_cached(
-            &mut ctx,
+            &session.ctx,
             &session.topo,
             &session.problem.vocab,
             session.sorts,

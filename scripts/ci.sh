@@ -345,8 +345,12 @@ echo "serve peak RSS after 20 cold builds: $((hwm_kb / 1024)) MiB (limit 128 MiB
   || { echo "serve peak RSS over the 128 MiB limit"; exit 1; }
 
 echo "==> CNF-size gate: ring:6 synthesis bit-blasts to a linear-size CNF"
-# Var–var local-preference comparisons are O(width) circuits. Lowering them
-# by enumerating their [0, 200] domain instead emitted ~119k clauses here.
+# Var–var local-preference comparisons are O(width) circuits (lowering them
+# by enumerating their [0, 200] domain emitted ~119k clauses here), every
+# enum's exactly-one is a sequential at-most-one ladder of O(n) clauses, and
+# an asserted top-level disjunction is one clause with no definition
+# variable. Together they store 4,084 clauses here; the pairwise
+# exactly-one through a Tseitin gate per pair stored 6,381.
 # The count is the clauses the SAT solver stores for the synthesis query
 # (the `session.query` span with `origin` `synthesize`): level-0 units and
 # satisfied clauses are not stored. It is deterministic: it depends on the
@@ -357,8 +361,24 @@ clauses="$(grep '"name":"session.query"' "$OBS_DIR/synth-trace.jsonl" \
     | grep '"origin":"synthesize"' \
     | grep -o '"cnf_clauses":[0-9]*' | grep -o '[0-9]*$' | head -1 || true)"
 [ -n "$clauses" ] || { echo "no synthesis session.query span with cnf_clauses in the trace"; exit 1; }
-echo "ring:6 synthesis CNF: $clauses clauses (limit 20000)"
-[ "$clauses" -le 20000 ] \
-  || { echo "synthesis CNF over the 20000-clause limit"; exit 1; }
+echo "ring:6 synthesis CNF: $clauses clauses (limit 5000)"
+[ "$clauses" -le 5000 ] \
+  || { echo "synthesis CNF over the 5000-clause limit"; exit 1; }
+
+echo "==> lint encodes its route domain once per network"
+# The SAT pass probes every entry of every route map as an assumption query
+# on one session, so the domain is asserted once (one `session.assert` span
+# under `lint.sat`), not once per route map. Deterministic, like the gate
+# above.
+./target/release/netexpl lint --topology ring:6 --spec "$OBS_DIR/ring-b.txt" --network \
+    --trace=json > /dev/null 2> "$OBS_DIR/lint-trace.jsonl"
+sat_id="$(grep '"name":"lint.sat"' "$OBS_DIR/lint-trace.jsonl" \
+    | grep -o '"id":[0-9]*' | grep -o '[0-9]*$' | head -1 || true)"
+[ -n "$sat_id" ] || { echo "no lint.sat span in the trace"; exit 1; }
+asserts="$(grep '"name":"session.assert"' "$OBS_DIR/lint-trace.jsonl" \
+    | grep -c "\"parent\":$sat_id," || true)"
+echo "ring:6 lint: $asserts session.assert span(s) under lint.sat (want 1)"
+[ "$asserts" -eq 1 ] \
+  || { echo "lint asserted its domain $asserts times, not once per network"; exit 1; }
 
 echo "==> OK"

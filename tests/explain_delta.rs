@@ -181,7 +181,7 @@ proptest! {
         )
         .unwrap();
         let prior = match explain_all_cached(
-            &mut ctx, &topo, &vocab, sorts, &net, &spec, &selector,
+            &ctx, &topo, &vocab, sorts, &net, &spec, &selector,
             run_options(workers), &cache,
         ) {
             Ok(p) => p,
