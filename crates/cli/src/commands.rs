@@ -770,6 +770,7 @@ pub fn diff(args: &[String]) -> Result<(), Error> {
         all_opts.explain.encode,
     )
     .map_err(Error::Encode)?;
+    ctx.freeze();
     let prior = explain_all_cached(
         &ctx,
         &topo,

@@ -339,11 +339,13 @@ pub struct DeltaReport {
 /// Re-explain a network after a configuration edit, reusing the prior
 /// run's work wherever the edit provably cannot reach.
 ///
-/// `ctx` must be (a clone of) the context `cache` was built in, exactly
-/// as for [`explain_all_cached`](crate::explain_all_cached); `prior` is
-/// consumed — clean routers' reports move into the returned explanation.
-/// The returned [`DeltaReport::cache`] supersedes `cache` for subsequent
-/// deltas against the new configuration.
+/// `ctx` must be the context `cache` was built in, or a clone of it,
+/// exactly as for [`explain_all_cached`](crate::explain_all_cached). The
+/// patch's new terms are interned into it, and it is frozen before the
+/// dirty routers fork it. `prior` is consumed — clean routers' reports
+/// move into the returned explanation. The returned
+/// [`DeltaReport::cache`] supersedes `cache` for subsequent deltas
+/// against the new configuration.
 #[allow(clippy::too_many_arguments)]
 pub fn explain_delta(
     ctx: &mut Ctx,
@@ -382,6 +384,7 @@ pub fn explain_delta(
         patch_span.attr("recomputed", stats.recomputed);
         (patched, stats)
     };
+    ctx.freeze();
 
     // Re-run the pipeline for the dirty subset only.
     let run = (!dirty_ids.is_empty()).then(|| {

@@ -8,9 +8,10 @@
 //! * **Shared encoding.** One [`EncodeCache`] is built up front in the
 //!   caller's context: a single path enumeration over the fully concrete
 //!   network, recording every session crossing (route state + emitted
-//!   definitional constraints). Each worker clones that base context —
-//!   term ids survive the clone because the arena is append-only — and its
-//!   seed stage replays concrete crossings from the cache, re-deriving
+//!   definitional constraints). That context is then frozen
+//!   ([`Ctx::freeze`]), and each router's pipeline runs in a clone of it:
+//!   an O(1) fork that shares the frozen arena and keeps every term id.
+//!   Its seed stage replays concrete crossings from the cache, re-deriving
 //!   only the clauses touched by its router's symbolization.
 //! * **Parallel fan-out.** Routers are distributed over `workers` OS
 //!   threads (`std::thread::scope`; no runtime dependency). The caller's
@@ -32,7 +33,7 @@
 //! (`explain_all.router_ms` histogram), `cache.hit` / `cache.miss`
 //! counters, and the `explain_all.workers` gauge.
 //!
-//! Determinism: each router's pipeline runs in a fresh clone of the base
+//! Determinism: each router's pipeline runs in a fresh fork of the base
 //! context, so its rendered artifacts (subspecification, constraint text,
 //! verdicts) are independent of worker count and scheduling. Term-id
 //! fields inside the per-router [`Explanation`]s refer to worker-local
@@ -203,8 +204,8 @@ impl fmt::Display for NetworkExplanation {
 ///
 /// `selector` is applied per router (use [`Selector::Router`] for "all of
 /// each router's lines"). `ctx` becomes the base context: the encoding
-/// cache is built into it, and every worker clones it. Routers the
-/// selector matches nothing on are reported as
+/// cache is built into it, it is frozen, and every router forks it.
+/// Routers the selector matches nothing on are reported as
 /// [`RouterOutcome::Skipped`]; if *no* router has anything to explain the
 /// run fails with [`ExplainError::NothingSymbolized`].
 #[allow(clippy::too_many_arguments)]
@@ -225,6 +226,7 @@ pub fn explain_all(
         build_span.attr("crossings", cache.len());
         cache
     };
+    ctx.freeze();
     explain_all_cached(
         ctx, topo, vocab, sorts, config, spec, selector, options, &cache,
     )
@@ -232,10 +234,11 @@ pub fn explain_all(
 
 /// [`explain_all`] with a prebuilt [`EncodeCache`] — the warm entry point
 /// of `netexpl serve`, where the cache (and the context it was built in)
-/// persist across requests. `ctx` must be (a clone of) the context the
-/// cache was built in. It is only read: every router works in its own
-/// clone. The fan-out, budget split, and reporting are identical to
-/// [`explain_all`], minus the cache build.
+/// persist across requests. `ctx` must be the context the cache was built
+/// in, or a clone of it. It is only read: every router works in its own
+/// fork. Pass it frozen ([`Ctx::freeze`]) and each fork costs O(1); an
+/// unfrozen context costs one copy per call. The fan-out, budget split,
+/// and reporting are identical to [`explain_all`], minus the cache build.
 #[allow(clippy::too_many_arguments)]
 pub fn explain_all_cached(
     ctx: &Ctx,
@@ -314,7 +317,9 @@ pub(crate) struct SubsetRun {
 /// engine: explain exactly the routers in `routers` (any subset of the
 /// topology, e.g. a delta run's dirty set), in parallel, against the
 /// shared cache. Budget splitting, fail-fast cancellation, and worker-obs
-/// replay behave exactly as on a full run.
+/// replay behave exactly as on a full run. Every router forks one frozen
+/// snapshot of `ctx`: that costs one copy when `ctx` is unfrozen, and
+/// nothing when it is frozen.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_routers(
     ctx: &Ctx,
@@ -330,6 +335,9 @@ pub(crate) fn run_routers(
     span: &Span,
 ) -> SubsetRun {
     let workers = effective_workers(options.workers, routers.len());
+    let mut snapshot = ctx.clone();
+    snapshot.freeze();
+    let snapshot = &snapshot;
 
     // Split the run budget: countable caps divided per worker, deadline
     // shared. With fail-fast, all slices share one cancel token (reusing
@@ -370,9 +378,9 @@ pub(crate) fn run_routers(
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(&router) = routers.get(i) else { break };
                     let t0 = Instant::now();
-                    // Fresh clone per router: the pipeline's artifacts must
+                    // Fresh fork per router: the pipeline's artifacts must
                     // not depend on what ran earlier on this worker.
-                    let mut worker_ctx = ctx.clone();
+                    let mut worker_ctx = snapshot.clone();
                     let mut opts = explain_opts.clone();
                     opts.budget = share.clone();
                     let outcome = match explain_cached(

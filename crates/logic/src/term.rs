@@ -13,9 +13,19 @@
 //! rule-ablation experiment (E4 in DESIGN.md). The only canonicalization done
 //! here is orienting the symmetric operators `Eq` and `Iff` by term id so
 //! that `a = b` and `b = a` intern to the same node.
+//!
+//! A context is two layers: a frozen base shared by every clone, and the
+//! clone's own additions. [`Ctx::freeze`] moves the additions into the
+//! base, after which a clone costs O(1) — that is how a network-wide
+//! explanation hands each router its own context to extend.
 
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::sync::Arc;
+
+use netexpl_obs::Span;
 
 use crate::sort::{EnumDecl, EnumSortId, Sort};
 
@@ -75,23 +85,143 @@ pub enum TermNode {
 
 /// The term arena: variable and enum declarations plus hash-consed terms.
 ///
-/// `Clone` duplicates the whole arena. Because the arena is append-only,
-/// every [`TermId`]/[`VarId`] minted in the original remains valid — and
-/// refers to the same node — in the clone. This is what lets a network-wide
-/// explanation build one shared base context and hand each worker thread an
-/// independent copy to extend.
+/// Storage is two layers. Ids below the base's length resolve in the
+/// frozen base, an `Arc` that every clone shares; newer vars, enums and
+/// nodes go to this context's own layer. Each node is stored once and
+/// hashed once: `intern` computes one keyed SipHash of the node and looks
+/// it up in the base's index, then in the own layer's, confirming a hit
+/// against the stored node.
+///
+/// `Clone` is the one way to copy a context. It copies only the own
+/// layer, so the clone of a frozen context ([`Ctx::freeze`]) costs O(1).
+/// Ids are minted in order across both layers, so every
+/// [`TermId`]/[`VarId`] of the original stays valid — and refers to the
+/// same node — in the clone, and the clone mints the same new ids a deep
+/// copy would.
 #[derive(Debug, Default, Clone)]
 pub struct Ctx {
+    /// Frozen declarations and nodes, shared by every clone.
+    base: Arc<Layer>,
+    /// Declarations and nodes added since the last freeze.
+    own: Layer,
+    /// Keyed node hasher; clones share its keys, so a node hashes alike
+    /// in every layer.
+    hasher: RandomState,
+}
+
+/// One layer of a [`Ctx`]: declarations, nodes, and an index over the
+/// nodes. Ids are global; a layer's first id is the length of the layers
+/// below it.
+#[derive(Debug, Default, Clone)]
+struct Layer {
     vars: Vec<VarInfo>,
     enums: Vec<EnumDecl>,
     terms: Vec<TermNode>,
-    interned: HashMap<TermNode, TermId>,
+    /// Node hash → id of the first node with that hash.
+    index: HashMap<u64, TermId, BuildHasherDefault<Prehashed>>,
+    /// Nodes whose hash the index already held: genuine 64-bit collisions.
+    collided: Vec<(u64, TermId)>,
+}
+
+impl Layer {
+    fn is_empty(&self) -> bool {
+        self.vars.is_empty() && self.enums.is_empty() && self.terms.is_empty()
+    }
+
+    /// The id of `node`, whose hash is `hash`, if this layer holds it.
+    /// `first` is the layer's first id.
+    fn find(&self, hash: u64, node: &TermNode, first: usize) -> Option<TermId> {
+        let holds = |id: TermId| self.terms[id.0 as usize - first] == *node;
+        let &id = self.index.get(&hash)?;
+        if holds(id) {
+            return Some(id);
+        }
+        self.collided
+            .iter()
+            .find(|&&(h, id)| h == hash && holds(id))
+            .map(|&(_, id)| id)
+    }
+
+    /// Index the node `id`, whose hash is `hash`.
+    fn record(&mut self, hash: u64, id: TermId) {
+        match self.index.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+            }
+            Entry::Occupied(_) => self.collided.push((hash, id)),
+        }
+    }
+
+    /// Append the layer above this one.
+    fn absorb(&mut self, above: Layer) {
+        self.vars.extend(above.vars);
+        self.enums.extend(above.enums);
+        self.terms.extend(above.terms);
+        self.index.reserve(above.index.len());
+        for (hash, id) in above.index {
+            self.record(hash, id);
+        }
+        self.collided.extend(above.collided);
+    }
+}
+
+/// The hasher of a node index, whose keys are already keyed SipHash
+/// outputs: it passes the key through instead of hashing it again. The
+/// keys stay unpredictable, so the index keeps the default hasher's
+/// protection against crafted collisions.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a node index is keyed by u64 hashes");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// Element `i` of a sequence split into a base and the part above it.
+fn layered<'a, T>(base: &'a [T], own: &'a [T], i: usize) -> &'a T {
+    match i.checked_sub(base.len()) {
+        None => &base[i],
+        Some(j) => &own[j],
+    }
 }
 
 impl Ctx {
     /// Create an empty context.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Move this context's own declarations and nodes into its frozen
+    /// base, so that a clone costs O(1) until the next addition. In place
+    /// when no clone shares the base (a fresh context's arena is moved
+    /// whole); otherwise the base is copied first (copy-on-write). Ids,
+    /// nodes and [`Ctx::num_terms`] do not change. A no-op, with no span,
+    /// when nothing was added since the last freeze.
+    pub fn freeze(&mut self) {
+        if self.own.is_empty() {
+            return;
+        }
+        let span = Span::enter("ctx.freeze");
+        let own = std::mem::take(&mut self.own);
+        span.attr("terms", own.terms.len());
+        let copied = if self.base.is_empty() {
+            self.base = Arc::new(own);
+            false
+        } else {
+            let copied = Arc::get_mut(&mut self.base).is_none();
+            Arc::make_mut(&mut self.base).absorb(own);
+            copied
+        };
+        span.attr("copied", copied);
     }
 
     // ---- declarations -----------------------------------------------------
@@ -102,8 +232,8 @@ impl Ctx {
             !variants.is_empty(),
             "enum sort `{name}` needs at least one variant"
         );
-        let id = EnumSortId(self.enums.len() as u32);
-        self.enums.push(EnumDecl {
+        let id = EnumSortId((self.base.enums.len() + self.own.enums.len()) as u32);
+        self.own.enums.push(EnumDecl {
             name: name.to_string(),
             variants: variants.iter().map(|s| s.to_string()).collect(),
         });
@@ -112,8 +242,8 @@ impl Ctx {
 
     /// Declare a fresh variable of the given sort.
     pub fn declare_var(&mut self, name: &str, sort: Sort) -> VarId {
-        let id = VarId(self.vars.len() as u32);
-        self.vars.push(VarInfo {
+        let id = VarId(self.num_vars() as u32);
+        self.own.vars.push(VarInfo {
             name: name.to_string(),
             sort,
         });
@@ -143,41 +273,48 @@ impl Ctx {
 
     /// The node behind a term id.
     pub fn node(&self, t: TermId) -> &TermNode {
-        &self.terms[t.0 as usize]
+        layered(&self.base.terms, &self.own.terms, t.0 as usize)
     }
 
     /// Metadata for a variable.
     pub fn var(&self, v: VarId) -> &VarInfo {
-        &self.vars[v.0 as usize]
+        layered(&self.base.vars, &self.own.vars, v.0 as usize)
     }
 
     /// Number of declared variables.
     pub fn num_vars(&self) -> usize {
-        self.vars.len()
+        self.base.vars.len() + self.own.vars.len()
     }
 
     /// All declared variables.
     pub fn vars(&self) -> impl Iterator<Item = (VarId, &VarInfo)> {
-        self.vars
+        self.base
+            .vars
             .iter()
+            .chain(&self.own.vars)
             .enumerate()
             .map(|(i, v)| (VarId(i as u32), v))
     }
 
     /// Declaration of an enum sort.
     pub fn enum_decl(&self, e: EnumSortId) -> &EnumDecl {
-        &self.enums[e.0 as usize]
+        layered(&self.base.enums, &self.own.enums, e.0 as usize)
     }
 
     /// Variant counts of all enum sorts, indexed by sort id. Used by
     /// [`Sort::cardinality`].
     pub fn enum_sizes(&self) -> Vec<usize> {
-        self.enums.iter().map(|e| e.variants.len()).collect()
+        self.base
+            .enums
+            .iter()
+            .chain(&self.own.enums)
+            .map(|e| e.variants.len())
+            .collect()
     }
 
     /// Number of interned terms (arena size).
     pub fn num_terms(&self) -> usize {
-        self.terms.len()
+        self.base.terms.len() + self.own.terms.len()
     }
 
     /// The sort of a term.
@@ -209,12 +346,20 @@ impl Ctx {
     // ---- constructors -----------------------------------------------------
 
     fn intern(&mut self, node: TermNode) -> TermId {
-        if let Some(&id) = self.interned.get(&node) {
+        let hash = self.hasher.hash_one(&node);
+        self.intern_hashed(node, hash)
+    }
+
+    /// [`Ctx::intern`] with the node's hash already computed.
+    fn intern_hashed(&mut self, node: TermNode, hash: u64) -> TermId {
+        let first = self.base.terms.len();
+        let found = self.base.find(hash, &node, 0);
+        if let Some(id) = found.or_else(|| self.own.find(hash, &node, first)) {
             return id;
         }
-        let id = TermId(self.terms.len() as u32);
-        self.terms.push(node.clone());
-        self.interned.insert(node, id);
+        let id = TermId((first + self.own.terms.len()) as u32);
+        self.own.terms.push(node);
+        self.own.record(hash, id);
         id
     }
 
@@ -302,7 +447,7 @@ impl Ctx {
     /// Enumeration constant.
     pub fn enum_const(&mut self, sort: EnumSortId, variant: u16) -> TermId {
         debug_assert!(
-            (variant as usize) < self.enums[sort.0 as usize].variants.len(),
+            (variant as usize) < self.enum_decl(sort).variants.len(),
             "enum_const: variant index out of range"
         );
         self.intern(TermNode::EnumConst(sort, variant))
@@ -310,7 +455,8 @@ impl Ctx {
 
     /// Enumeration constant looked up by variant name.
     pub fn enum_const_named(&mut self, sort: EnumSortId, variant: &str) -> TermId {
-        let idx = self.enums[sort.0 as usize]
+        let idx = self
+            .enum_decl(sort)
             .variant_index(variant)
             .unwrap_or_else(|| panic!("enum sort has no variant `{variant}`"));
         self.enum_const(sort, idx)
@@ -843,5 +989,101 @@ mod tests {
         let mut ctx = Ctx::new();
         let s = ctx.enum_sort("Attr", &["NextHop"]);
         ctx.enum_const_named(s, "Bogus");
+    }
+
+    #[test]
+    fn clone_of_a_frozen_context_shares_the_base() {
+        let mut ctx = Ctx::new();
+        let a = ctx.bool_var("a");
+        let b = ctx.bool_var("b");
+        let ab = ctx.and2(a, b);
+        ctx.freeze();
+        let fork = ctx.clone();
+        assert!(Arc::ptr_eq(&ctx.base, &fork.base));
+        assert_eq!(fork.num_terms(), ctx.num_terms());
+        assert_eq!(fork.node(ab), ctx.node(ab));
+    }
+
+    #[test]
+    fn interning_a_base_node_returns_the_base_id() {
+        let mut ctx = Ctx::new();
+        let a = ctx.bool_var("a");
+        let b = ctx.bool_var("b");
+        let ab = ctx.and2(a, b);
+        ctx.freeze();
+        let mut fork = ctx.clone();
+        assert_eq!(fork.and2(a, b), ab);
+        assert!(
+            fork.own.terms.is_empty(),
+            "a base node must not be re-added"
+        );
+        let c = fork.bool_var("c");
+        assert_eq!(c, TermId(ab.0 + 1), "new ids continue after the base");
+        assert_eq!(fork.own.terms.len(), 1);
+    }
+
+    #[test]
+    fn freeze_moves_a_fresh_arena_and_leaves_no_spare_capacity() {
+        let mut ctx = Ctx::new();
+        let a = ctx.bool_var("a");
+        let na = ctx.not(a);
+        let arena = ctx.own.terms.as_ptr();
+        ctx.freeze();
+        assert_eq!(
+            ctx.base.terms.as_ptr(),
+            arena,
+            "the arena is moved, not copied"
+        );
+        assert_eq!(ctx.own.terms.capacity(), 0);
+        assert_eq!(ctx.own.index.capacity(), 0);
+        assert_eq!(ctx.num_terms(), 2);
+        assert_eq!(ctx.node(na), &TermNode::Not(a));
+    }
+
+    #[test]
+    fn freeze_copies_a_shared_base_and_leaves_the_sharer_alone() {
+        let mut ctx = Ctx::new();
+        let a = ctx.bool_var("a");
+        ctx.freeze();
+        let fork = ctx.clone();
+        let b = ctx.bool_var("b");
+        ctx.freeze();
+        assert!(!Arc::ptr_eq(&ctx.base, &fork.base));
+        assert_eq!(fork.num_terms(), 1);
+        assert_eq!(ctx.num_terms(), 2);
+        let mut again = fork.clone();
+        assert_eq!(
+            again.bool_var("b"),
+            b,
+            "a fork mints the ids a deep copy would"
+        );
+        assert_eq!(again.node(a), ctx.node(a));
+    }
+
+    #[test]
+    fn colliding_hashes_get_distinct_ids_and_both_are_found() {
+        const HASH: u64 = 7;
+        let mut ctx = Ctx::new();
+        let a = ctx.bool_var("a");
+        let b = ctx.bool_var("b");
+        let na = ctx.intern_hashed(TermNode::Not(a), HASH);
+        let nb = ctx.intern_hashed(TermNode::Not(b), HASH);
+        assert_ne!(na, nb);
+        assert_eq!(ctx.intern_hashed(TermNode::Not(a), HASH), na);
+        assert_eq!(ctx.intern_hashed(TermNode::Not(b), HASH), nb);
+        // Both survive a freeze, and a third colliding node in the fork's
+        // own layer is told apart from the base's two.
+        ctx.freeze();
+        let mut fork = ctx.clone();
+        let c = fork.bool_var("c");
+        let nc = fork.intern_hashed(TermNode::Not(c), HASH);
+        assert!(nc != na && nc != nb);
+        for (node, id) in [(a, na), (b, nb), (c, nc)] {
+            assert_eq!(fork.intern_hashed(TermNode::Not(node), HASH), id);
+        }
+        fork.freeze();
+        for (node, id) in [(a, na), (b, nb), (c, nc)] {
+            assert_eq!(fork.intern_hashed(TermNode::Not(node), HASH), id);
+        }
     }
 }

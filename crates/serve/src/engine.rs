@@ -256,9 +256,10 @@ impl Engine {
                 .topo
                 .router_by_name(name)
                 .ok_or_else(|| Error::Topology(format!("unknown router `{name}`")))?;
-            // The pooled base context stays pristine; a single-router
-            // request extends a clone (term ids survive cloning — the arena
-            // is append-only). The all-router path only reads it.
+            // The pooled base context stays pristine: a single-router
+            // request extends an O(1) fork of it (the context is frozen,
+            // and term ids survive the fork). The all-router path forks
+            // it per router.
             let mut ctx = session.ctx.clone();
             let e = explain_cached(
                 &mut ctx,
@@ -374,6 +375,31 @@ Req1 { !(P1 -> ... -> P2) }
         );
         assert_eq!(engine.metrics().counter("serve.pool.hits"), 1);
         assert_eq!(engine.metrics().counter("serve.pool.misses"), 1);
+    }
+
+    /// A cold build freezes its context once; a warm explain forks the
+    /// frozen context and copies nothing, so it freezes nothing.
+    #[test]
+    fn only_a_cold_explain_freezes_a_context() {
+        let engine = Engine::new(EngineConfig::default(), SharedMetrics::new());
+        let mut single = explain_op();
+        if let Op::Explain { router, .. } = &mut single {
+            *router = Some("R1".into());
+        }
+        let freezes = |op: &Op| {
+            let (guard, handle) = netexpl_obs::install_memory();
+            engine.handle(op, None).unwrap();
+            drop(guard);
+            handle.spans_named("ctx.freeze")
+        };
+        let cold = freezes(&explain_op());
+        assert_eq!(cold.len(), 1, "{cold:?}");
+        assert_eq!(
+            cold[0].attr("copied"),
+            Some(&netexpl_obs::AttrValue::Bool(false))
+        );
+        assert!(freezes(&explain_op()).is_empty(), "warm all-router explain");
+        assert!(freezes(&single).is_empty(), "warm single-router explain");
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! enumerate every propagation path into an [`EncodeCache`] — dominates a
 //! cold request. The pool keeps the finished artifacts keyed by
 //! `(topology name, spec-text hash)` so repeat requests skip straight to
-//! the per-router pipelines: they clone the base [`Ctx`] (term ids
-//! survive cloning) and replay the pooled cache. Every cold build starts
-//! from a fresh context (`Session::build`), so sessions share nothing and
-//! a pooled arena holds only its own spec's terms.
+//! the per-router pipelines: they fork the frozen base [`Ctx`] (an O(1)
+//! clone that keeps every term id) and replay the pooled cache. Every
+//! cold build starts from a fresh context (`Session::build`), so sessions
+//! share nothing and a pooled arena holds only its own spec's terms.
 //!
 //! A session is immutable once pooled, so an entry always describes its
 //! own cache and needs no re-check on acquire. Entries leave the pool by
@@ -24,6 +24,10 @@
 //!
 //! The armed `serve.evict` fault also discards the entry it hits and
 //! fails that request (NX806).
+//!
+//! A removed entry may hold the last `Arc` of its session, and dropping
+//! it frees a whole arena, cache and configuration. Entries are therefore
+//! moved out under the lock and dropped after it is released.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -63,14 +67,15 @@ impl SessionKey {
 }
 
 /// One warm session: everything the per-request pipelines need,
-/// immutable after construction. Requests clone the base context and
-/// share the rest by reference through the `Arc`.
+/// immutable after construction. Requests fork the frozen base context
+/// and share the rest by reference through the `Arc`.
 pub struct Session {
     /// The resolved topology.
     pub topo: Topology,
     /// The parsed problem (spec, originations, vocabulary).
     pub problem: Problem,
-    /// Base context with sorts declared and the cache's terms interned.
+    /// Base context with sorts declared and the cache's terms interned,
+    /// frozen so that a clone costs O(1).
     pub ctx: Ctx,
     /// Sort handles matching `ctx`.
     pub sorts: VocabSorts,
@@ -82,9 +87,9 @@ pub struct Session {
 
 impl Session {
     /// Build a session cold: parse the spec, synthesize its configuration
-    /// into a fresh context under `budget`, and encode that configuration.
-    /// Nothing carries over from other sessions, so the context holds
-    /// only this spec's terms.
+    /// into a fresh context under `budget`, encode that configuration, and
+    /// freeze the context. Nothing carries over from other sessions, so
+    /// the context holds only this spec's terms.
     pub(crate) fn build(topology: &str, spec: &str, budget: &Budget) -> Result<Session, Error> {
         let topo = topology_by_name(topology)?;
         let problem = parse_problem(&topo, "<request>", spec)?;
@@ -100,6 +105,7 @@ impl Session {
             EncodeOptions::default(),
         )
         .map_err(Error::Encode)?;
+        ctx.freeze();
         Ok(Session {
             topo,
             problem,
@@ -162,9 +168,11 @@ impl SessionPool {
             return Ok(None);
         };
         if self.shots.fire(sites::SERVE_EVICT) {
-            entries.remove(pos);
+            let evicted = entries.remove(pos);
             self.publish_size(entries.len());
             self.metrics.counter_add("serve.pool.quarantined", 1);
+            drop(entries);
+            drop(evicted);
             return Err(pool_failure("fault injected at serve.evict"));
         }
         entries[pos].last_used = tick;
@@ -179,7 +187,7 @@ impl SessionPool {
         let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let session = Arc::new(session);
         let mut entries = self.lock();
-        entries.retain(|e| e.key != key);
+        let mut removed: Vec<Entry> = take_key(&mut entries, &key).into_iter().collect();
         entries.push(Entry {
             key,
             session: Arc::clone(&session),
@@ -192,10 +200,12 @@ impl SessionPool {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(i, _)| i)
                 .unwrap_or(0);
-            entries.remove(lru);
+            removed.push(entries.remove(lru));
             self.metrics.counter_add("serve.pool.evictions", 1);
         }
         self.publish_size(entries.len());
+        drop(entries);
+        drop(removed);
         session
     }
 
@@ -204,12 +214,13 @@ impl SessionPool {
     /// `Arc`.
     pub fn quarantine(&self, key: &SessionKey) {
         let mut entries = self.lock();
-        let before = entries.len();
-        entries.retain(|e| &e.key != key);
-        if entries.len() < before {
+        let removed = take_key(&mut entries, key);
+        if removed.is_some() {
             self.metrics.counter_add("serve.pool.quarantined", 1);
         }
         self.publish_size(entries.len());
+        drop(entries);
+        drop(removed);
     }
 
     /// Entries currently pooled.
@@ -221,6 +232,13 @@ impl SessionPool {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// Move the entry for `key` out of the pool, which holds at most one per
+/// key.
+fn take_key(entries: &mut Vec<Entry>, key: &SessionKey) -> Option<Entry> {
+    let pos = entries.iter().position(|e| &e.key == key)?;
+    Some(entries.remove(pos))
 }
 
 #[cfg(test)]

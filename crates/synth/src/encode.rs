@@ -144,11 +144,11 @@ impl PathInfo {
 /// identical across runs. `EncodeCache::build` performs one path
 /// enumeration over the fully concrete network in a base [`Ctx`] and
 /// records, per session crossing, the resulting route state and the
-/// definitional constraints it emitted. Workers clone the base context
-/// (term ids survive cloning; the arena is append-only) and consult the
-/// cache from [`Encoder::with_cache`]: a crossing whose route maps are
-/// untouched by symbolization and whose incoming state matches a recorded
-/// one is replayed instead of re-derived. Crossings involving the
+/// definitional constraints it emitted. Workers fork the base context
+/// (a clone, O(1) once the context is frozen; term ids survive it) and
+/// consult the cache from [`Encoder::with_cache`]: a crossing whose route
+/// maps are untouched by symbolization and whose incoming state matches a
+/// recorded one is replayed instead of re-derived. Crossings involving the
 /// symbolized router — or downstream states that differ because of it —
 /// miss and are computed locally, which is exactly the "only the
 /// symbolized router's clauses are re-derived" split.

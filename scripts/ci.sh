@@ -29,6 +29,13 @@ echo "==> lift differential: simplified-defs session lifter vs raw-defs oracle, 
 PROPTEST_CASES=64 cargo test -q --test lift_model_filter \
     filtered_session_lifter_matches_the_fresh_oracle
 
+echo "==> fork differential: forked term arenas vs a plain one, 256 cases"
+# Every router forks a frozen, shared term arena. Replayed on a context that
+# is frozen and forked at every assert, each op stream must build the same
+# term ids and reach the same verdicts as on a plain context.
+PROPTEST_CASES=256 cargo test -q --test session_differential \
+    session_fresh_and_oracle_agree_on_op_streams
+
 echo "==> fault hermeticity: fault and serve tests, 20 rounds, 8 threads, no lock"
 # An armed fault stays on the thread guard or the server that armed it, so
 # these binaries run their tests side by side with no cross-test lock; a

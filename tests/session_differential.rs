@@ -5,6 +5,9 @@
 //! level, the complete DPLL oracle at the clause level) — including when
 //! the learned-clause database reduction is forced to fire between
 //! queries. Session reuse is an optimization; any divergence is a bug.
+//! So is forking the term arena: a context that is frozen and forked as
+//! the stream goes must build the same term ids and reach the same
+//! verdicts as one that never is.
 
 mod common;
 
@@ -143,6 +146,89 @@ fn brute_force_sat(ctx: &mut Ctx, asserted: &[TermId], assumptions: &[TermId]) -
     sat
 }
 
+/// One replay of a stream: a context with the shared variables, the
+/// persistent session over it, and the terms asserted so far.
+struct Leg {
+    ctx: Ctx,
+    vars: Vars,
+    session: SmtSession,
+    asserted: Vec<TermId>,
+}
+
+impl Leg {
+    fn new() -> Leg {
+        let mut ctx = Ctx::new();
+        let vars = Vars::new(&mut ctx);
+        let mut session = SmtSession::new();
+        session.set_reduce_threshold(2);
+        Leg {
+            ctx,
+            vars,
+            session,
+            asserted: Vec::new(),
+        }
+    }
+
+    /// Apply one op and check the query verdicts against brute force.
+    /// Returns the ids of the formulas the op built and, for a query, the
+    /// verdict.
+    fn step(&mut self, step: usize, op: &Op) -> Result<(Vec<TermId>, Option<bool>), String> {
+        let ctx = &mut self.ctx;
+        match op {
+            Op::Assert(f) => {
+                let t = self.vars.build(ctx, f);
+                self.asserted.push(t);
+                self.session.assert(ctx, &[t]);
+                Ok((vec![t], None))
+            }
+            Op::Query(fs) => {
+                let assumptions: Vec<TermId> = fs.iter().map(|f| self.vars.build(ctx, f)).collect();
+
+                let expected = brute_force_sat(ctx, &self.asserted, &assumptions);
+
+                // Fresh session, one query: nothing carried over.
+                let mut fresh = SmtSession::new();
+                fresh.assert(ctx, &self.asserted);
+                let (fresh_result, _) = fresh.check_assuming(ctx, &assumptions);
+                prop_assert!(
+                    !matches!(fresh_result, SmtResult::Unknown(_)),
+                    "step {step}: unbudgeted fresh session returned Unknown"
+                );
+                prop_assert_eq!(
+                    fresh_result.is_sat(),
+                    expected,
+                    "step {step}: fresh session disagrees with brute force"
+                );
+
+                // Incremental session: same question, reused state.
+                let (sess_result, _) = self.session.check_assuming(ctx, &assumptions);
+                prop_assert!(
+                    !matches!(sess_result, SmtResult::Unknown(_)),
+                    "step {step}: unbudgeted session returned Unknown"
+                );
+                prop_assert_eq!(
+                    sess_result.is_sat(),
+                    expected,
+                    "step {step}: session disagrees with brute force"
+                );
+
+                // A session model must satisfy base and assumptions.
+                if let Some(model) = sess_result.model() {
+                    let mut all = self.asserted.clone();
+                    all.extend_from_slice(&assumptions);
+                    let conj = ctx.and(&all);
+                    prop_assert_eq!(
+                        model.eval_bool(ctx, conj),
+                        Some(true),
+                        "step {step}: session model violates the query"
+                    );
+                }
+                Ok((assumptions, Some(expected)))
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(cases_from_env(64))]
 
@@ -151,63 +237,34 @@ proptest! {
     /// every query of every randomized assert/query interleaving. A tiny
     /// clause-database reduction threshold forces reductions mid-stream,
     /// so this also exercises answering from a reduced database.
+    ///
+    /// The stream is replayed twice: on a plain context, and on a forked
+    /// one that is frozen after the shared variables and then frozen and
+    /// forked again at every assert. The forks left behind stay alive, so
+    /// each later freeze copies a shared base. Both replays must build
+    /// every formula under the same id and reach the same verdicts.
     #[test]
     fn session_fresh_and_oracle_agree_on_op_streams(ops in arb_ops()) {
-        let mut ctx = Ctx::new();
-        let vars = Vars::new(&mut ctx);
-        let mut session = SmtSession::new();
-        session.set_reduce_threshold(2);
-        let mut asserted: Vec<TermId> = Vec::new();
+        let mut plain = Leg::new();
+        let mut forked = Leg::new();
+        forked.ctx.freeze();
+        let mut left_behind: Vec<(Ctx, usize)> = Vec::new();
 
         for (step, op) in ops.iter().enumerate() {
-            match op {
-                Op::Assert(f) => {
-                    let t = vars.build(&mut ctx, f);
-                    asserted.push(t);
-                    session.assert(&mut ctx, &[t]);
-                }
-                Op::Query(fs) => {
-                    let assumptions: Vec<TermId> =
-                        fs.iter().map(|f| vars.build(&mut ctx, f)).collect();
-
-                    let expected = brute_force_sat(&mut ctx, &asserted, &assumptions);
-
-                    // Fresh session, one query: nothing carried over.
-                    let mut fresh = SmtSession::new();
-                    fresh.assert(&mut ctx, &asserted);
-                    let (fresh_result, _) = fresh.check_assuming(&mut ctx, &assumptions);
-                    prop_assert!(
-                        !matches!(fresh_result, SmtResult::Unknown(_)),
-                        "step {step}: unbudgeted fresh session returned Unknown"
-                    );
-                    prop_assert_eq!(
-                        fresh_result.is_sat(), expected,
-                        "step {step}: fresh session disagrees with brute force"
-                    );
-
-                    // Incremental session: same question, reused state.
-                    let (sess_result, _) = session.check_assuming(&mut ctx, &assumptions);
-                    prop_assert!(
-                        !matches!(sess_result, SmtResult::Unknown(_)),
-                        "step {step}: unbudgeted session returned Unknown"
-                    );
-                    prop_assert_eq!(
-                        sess_result.is_sat(), expected,
-                        "step {step}: session disagrees with brute force"
-                    );
-
-                    // A session model must satisfy base and assumptions.
-                    if let Some(model) = sess_result.model() {
-                        let mut all = asserted.clone();
-                        all.extend_from_slice(&assumptions);
-                        let conj = ctx.and(&all);
-                        prop_assert_eq!(
-                            model.eval_bool(&ctx, conj), Some(true),
-                            "step {step}: session model violates the query"
-                        );
-                    }
-                }
+            let built = plain.step(step, op)?;
+            let forked_built = forked.step(step, op)?;
+            prop_assert_eq!(&forked_built, &built, "step {}: forked ids or verdict", step);
+            prop_assert_eq!(forked.ctx.num_terms(), plain.ctx.num_terms(), "step {}", step);
+            if let Op::Assert(_) = op {
+                forked.ctx.freeze();
+                let fork = forked.ctx.clone();
+                let terms = fork.num_terms();
+                left_behind.push((std::mem::replace(&mut forked.ctx, fork), terms));
             }
+        }
+        // A fork left behind never sees what its successors added.
+        for (fork, terms) in &left_behind {
+            prop_assert_eq!(fork.num_terms(), *terms);
         }
     }
 }
