@@ -484,7 +484,8 @@ fn enumerate_candidates(
     let mut out: Vec<Candidate> = Vec::new();
 
     // ---- forbidden-path candidates -----------------------------------------
-    let mut patterns: Vec<Vec<RouterId>> = Vec::new();
+    let mut seen: HashSet<&[RouterId]> = HashSet::new();
+    let mut patterns: Vec<&[RouterId]> = Vec::new();
     for infos in seed.encoded.paths.values() {
         for info in infos {
             let routers = &info.routers;
@@ -496,8 +497,8 @@ fn enumerate_candidates(
                     if end - start > options.max_window {
                         continue;
                     }
-                    let window = routers[start..end].to_vec();
-                    if !patterns.contains(&window) {
+                    let window = &routers[start..end];
+                    if seen.insert(window) {
                         patterns.push(window);
                     }
                 }
@@ -507,7 +508,7 @@ fn enumerate_candidates(
     // Shortest patterns first: prefer the most general statement (the
     // paper's Figure 2 `!(R1 -> P1)` over an origin-qualified variant).
     let enumerated = patterns.len();
-    patterns.sort_by_key(|w| (w.len(), w.clone()));
+    patterns.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
     patterns.truncate(options.max_candidates);
     netexpl_obs::counter_add("lift.templates_enumerated", enumerated as u64);
     netexpl_obs::counter_add(

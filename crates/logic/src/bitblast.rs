@@ -19,8 +19,9 @@
 //! enough bookkeeping to decode a SAT model back into values of the original
 //! enum/int variables.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
+use crate::dense::IdMap;
 use crate::model::{Assignment, Value};
 use crate::sort::Sort;
 use crate::term::{Ctx, TermId, TermNode, VarId};
@@ -35,7 +36,8 @@ pub struct BitBlaster {
     /// Side constraints accumulated while allocating encodings
     /// (exactly-one for enums, range bounds for ints).
     side: Vec<TermId>,
-    memo: HashMap<TermId, TermId>,
+    /// The lowered form of each term lowered so far, by term id.
+    memo: IdMap<TermId, TermId>,
 }
 
 impl BitBlaster {
@@ -48,23 +50,17 @@ impl BitBlaster {
     /// Newly required side constraints are queued; drain them with
     /// [`BitBlaster::take_side_constraints`] and assert them alongside.
     pub fn lower(&mut self, ctx: &mut Ctx, t: TermId) -> TermId {
-        if let Some(&r) = self.memo.get(&t) {
+        if let Some(&r) = self.memo.get(t) {
             return r;
         }
-        let result = match ctx.node(t).clone() {
+        let result = match *ctx.node(t) {
             TermNode::True | TermNode::False | TermNode::BoolVar(_) => t,
             TermNode::Not(a) => {
                 let a2 = self.lower(ctx, a);
                 ctx.not(a2)
             }
-            TermNode::And(cs) => {
-                let cs2: Vec<TermId> = cs.iter().map(|&c| self.lower(ctx, c)).collect();
-                ctx.and(&cs2)
-            }
-            TermNode::Or(cs) => {
-                let cs2: Vec<TermId> = cs.iter().map(|&c| self.lower(ctx, c)).collect();
-                ctx.or(&cs2)
-            }
+            // Rebuilding over unchanged operands would intern `t` itself.
+            TermNode::And(_) | TermNode::Or(_) => ctx.map_operands(t, |ctx, c| self.lower(ctx, c)),
             TermNode::Implies(a, b) => {
                 let (a2, b2) = (self.lower(ctx, a), self.lower(ctx, b));
                 ctx.implies(a2, b2)
@@ -141,10 +137,11 @@ impl BitBlaster {
 
     // ---- encodings ---------------------------------------------------------
 
-    fn enum_encoding(&mut self, ctx: &mut Ctx, var: VarId) -> Vec<TermId> {
-        if let Some(bits) = self.enum_bits.get(&var) {
-            return bits.clone();
-        }
+    fn enum_encoding(&mut self, ctx: &mut Ctx, var: VarId) -> &[TermId] {
+        let slot = match self.enum_bits.entry(var) {
+            Entry::Occupied(bits) => return bits.into_mut(),
+            Entry::Vacant(slot) => slot,
+        };
         let sort = match ctx.var(var).sort {
             Sort::Enum(e) => e,
             s => unreachable!("enum_encoding on {s} variable"),
@@ -176,18 +173,18 @@ impl BitBlaster {
                 held = Some(step);
             }
         }
-        self.enum_bits.insert(var, bits.clone());
-        bits
+        slot.insert(bits)
     }
 
-    fn int_encoding(&mut self, ctx: &mut Ctx, var: VarId) -> (Vec<TermId>, i64, i64) {
+    fn int_encoding(&mut self, ctx: &mut Ctx, var: VarId) -> (&[TermId], i64, i64) {
         let (lo, hi) = match ctx.var(var).sort {
             Sort::Int { lo, hi } => (lo, hi),
             s => unreachable!("int_encoding on {s} variable"),
         };
-        if let Some(bits) = self.int_bits.get(&var) {
-            return (bits.clone(), lo, hi);
-        }
+        let slot = match self.int_bits.entry(var) {
+            Entry::Occupied(bits) => return (bits.into_mut(), lo, hi),
+            Entry::Vacant(slot) => slot,
+        };
         let span = (hi - lo) as u64;
         let width = if span == 0 {
             1
@@ -201,8 +198,7 @@ impl BitBlaster {
         // Range side constraint: offset ≤ hi - lo.
         let range = le_const(ctx, &bits, span);
         self.side.push(range);
-        self.int_bits.insert(var, bits.clone());
-        (bits, lo, hi)
+        (slot.insert(bits), lo, hi)
     }
 
     fn lower_eq(&mut self, ctx: &mut Ctx, a: TermId, b: TermId) -> TermId {
@@ -219,13 +215,14 @@ impl BitBlaster {
                     .unwrap_or_else(|| ctx.mk_false())
             }
             (TermNode::EnumVar(va), TermNode::EnumVar(vb)) => {
-                let ba = self.enum_encoding(ctx, va);
-                let bb = self.enum_encoding(ctx, vb);
+                self.enum_encoding(ctx, va);
+                self.enum_encoding(ctx, vb);
+                let (ba, bb) = (&self.enum_bits[&va], &self.enum_bits[&vb]);
                 if ba.len() != bb.len() {
                     return ctx.mk_false();
                 }
                 let disjuncts: Vec<TermId> =
-                    ba.iter().zip(&bb).map(|(&x, &y)| ctx.and2(x, y)).collect();
+                    ba.iter().zip(bb).map(|(&x, &y)| ctx.and2(x, y)).collect();
                 ctx.or(&disjuncts)
             }
             (TermNode::IntVar(v), TermNode::IntConst(c))
@@ -234,7 +231,7 @@ impl BitBlaster {
                 if c < lo || c > hi {
                     return ctx.mk_false();
                 }
-                eq_const(ctx, &bits, (c - lo) as u64)
+                eq_const(ctx, bits, (c - lo) as u64)
             }
             (TermNode::IntVar(va), TermNode::IntVar(vb)) => {
                 let (xs, ys) = self.aligned_pair(ctx, va, vb);
@@ -259,7 +256,7 @@ impl BitBlaster {
                 if bound < lo {
                     return ctx.mk_false();
                 }
-                le_const(ctx, &bits, (bound - lo) as u64)
+                le_const(ctx, bits, (bound - lo) as u64)
             }
             (TermNode::IntConst(c), TermNode::IntVar(v)) => {
                 // c ≤ x  ≡  ¬(x ≤ c-1) ; c < x  ≡  ¬(x ≤ c)
@@ -271,7 +268,7 @@ impl BitBlaster {
                 if bound >= hi {
                     return ctx.mk_false();
                 }
-                let le = le_const(ctx, &bits, (bound - lo) as u64);
+                let le = le_const(ctx, bits, (bound - lo) as u64);
                 ctx.not(le)
             }
             (TermNode::IntVar(va), TermNode::IntVar(vb)) => {
@@ -297,13 +294,16 @@ impl BitBlaster {
     /// with the larger lower bound gets the difference added, and the
     /// shorter vector is padded with `false`.
     fn aligned_pair(&mut self, ctx: &mut Ctx, va: VarId, vb: VarId) -> (Vec<TermId>, Vec<TermId>) {
-        let (mut xs, lo_a, _) = self.int_encoding(ctx, va);
-        let (mut ys, lo_b, _) = self.int_encoding(ctx, vb);
-        if lo_a > lo_b {
-            xs = add_const(ctx, &xs, lo_a.abs_diff(lo_b));
+        let lo_a = self.int_encoding(ctx, va).1;
+        let lo_b = self.int_encoding(ctx, vb).1;
+        let (xs, ys) = (&self.int_bits[&va], &self.int_bits[&vb]);
+        let (mut xs, mut ys) = if lo_a > lo_b {
+            (add_const(ctx, xs, lo_a.abs_diff(lo_b)), ys.clone())
         } else if lo_b > lo_a {
-            ys = add_const(ctx, &ys, lo_a.abs_diff(lo_b));
-        }
+            (xs.clone(), add_const(ctx, ys, lo_a.abs_diff(lo_b)))
+        } else {
+            (xs.clone(), ys.clone())
+        };
         let width = xs.len().max(ys.len());
         let f = ctx.mk_false();
         xs.resize(width, f);
@@ -492,7 +492,7 @@ mod tests {
             unreachable!()
         };
         let mut bb = BitBlaster::new();
-        let bits = bb.enum_encoding(ctx, var);
+        let bits = bb.enum_encoding(ctx, var).to_vec();
         (bits, bb.take_side_constraints())
     }
 

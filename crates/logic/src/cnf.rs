@@ -8,8 +8,7 @@
 //! An *asserted* top-level disjunction needs no definition: it becomes one
 //! plain clause over its disjuncts' literals.
 
-use std::collections::HashMap;
-
+use crate::dense::IdMap;
 use crate::sat::Lit;
 use crate::term::{Ctx, TermId, TermNode, VarId};
 
@@ -43,8 +42,9 @@ pub struct CnfBuilder {
     /// Total number of SAT variables (inputs + Tseitin definitions).
     num_vars: usize,
     /// SAT variable index of each term-level boolean variable that occurs.
-    var_map: HashMap<VarId, usize>,
-    memo: HashMap<TermId, ELit>,
+    var_map: IdMap<VarId, u32>,
+    /// The encoding of each term encoded so far, by term id.
+    memo: IdMap<TermId, ELit>,
 }
 
 impl CnfBuilder {
@@ -94,7 +94,7 @@ impl CnfBuilder {
     }
 
     /// The term-variable → SAT-variable map built so far.
-    pub fn var_map(&self) -> &HashMap<VarId, usize> {
+    pub(crate) fn var_map(&self) -> &IdMap<VarId, u32> {
         &self.var_map
     }
 
@@ -114,23 +114,23 @@ impl CnfBuilder {
     }
 
     fn input_var(&mut self, v: VarId) -> Lit {
-        if let Some(&sv) = self.var_map.get(&v) {
-            return Lit::pos(sv);
+        if let Some(&sv) = self.var_map.get(v) {
+            return Lit::pos(sv as usize);
         }
         let l = self.fresh();
-        self.var_map.insert(v, l.var());
+        self.var_map.insert(v, l.var() as u32);
         l
     }
 
     fn encode(&mut self, ctx: &Ctx, t: TermId) -> ELit {
-        if let Some(&e) = self.memo.get(&t) {
+        if let Some(&e) = self.memo.get(t) {
             return e;
         }
-        let result = match ctx.node(t).clone() {
+        let result = match ctx.node(t) {
             TermNode::True => ELit::Const(true),
             TermNode::False => ELit::Const(false),
-            TermNode::BoolVar(v) => ELit::Lit(self.input_var(v)),
-            TermNode::Not(a) => self.encode(ctx, a).negated(),
+            &TermNode::BoolVar(v) => ELit::Lit(self.input_var(v)),
+            &TermNode::Not(a) => self.encode(ctx, a).negated(),
             TermNode::And(cs) => {
                 let lits: Vec<ELit> = cs.iter().map(|&c| self.encode(ctx, c)).collect();
                 self.encode_and(&lits)
@@ -139,18 +139,18 @@ impl CnfBuilder {
                 let lits: Vec<ELit> = cs.iter().map(|&c| self.encode(ctx, c).negated()).collect();
                 self.encode_and(&lits).negated()
             }
-            TermNode::Implies(a, b) => {
+            &TermNode::Implies(a, b) => {
                 // a → b ≡ ¬(a ∧ ¬b)
                 let ea = self.encode(ctx, a);
                 let eb = self.encode(ctx, b).negated();
                 self.encode_and(&[ea, eb]).negated()
             }
-            TermNode::Iff(a, b) => {
+            &TermNode::Iff(a, b) => {
                 let ea = self.encode(ctx, a);
                 let eb = self.encode(ctx, b);
                 self.encode_iff(ea, eb)
             }
-            TermNode::Ite(c, a, b) => {
+            &TermNode::Ite(c, a, b) => {
                 // ite(c,a,b) ≡ (c→a) ∧ (¬c→b) ≡ ¬(c∧¬a) ∧ ¬(¬c∧b... )
                 let ec = self.encode(ctx, c);
                 let ea = self.encode(ctx, a);
@@ -187,8 +187,10 @@ impl CnfBuilder {
                 for &l in &real {
                     self.clauses.push(vec![d.negated(), l]);
                 }
-                // all lits → d
-                let mut big: Vec<Lit> = real.iter().map(|l| l.negated()).collect();
+                // all lits → d, sized exactly: the solver keeps this very
+                // allocation when the clause is moved into it.
+                let mut big: Vec<Lit> = Vec::with_capacity(real.len() + 1);
+                big.extend(real.iter().map(|l| l.negated()));
                 big.push(d);
                 self.clauses.push(big);
                 ELit::Lit(d)
@@ -265,8 +267,8 @@ mod tests {
         match s.solve() {
             SatResult::Sat(m) => {
                 let mut asg = Assignment::new();
-                for (&tv, &sv) in b.var_map() {
-                    asg.set(tv, Value::Bool(m[sv]));
+                for (tv, &sv) in b.var_map().iter() {
+                    asg.set(tv, Value::Bool(m[sv as usize]));
                 }
                 Some(asg)
             }
@@ -396,7 +398,7 @@ mod tests {
             assert!(builder.assert_term(&ctx, folded));
             assert!(builder.take_new_clauses().is_empty());
             let mapped: std::collections::HashSet<VarId> =
-                builder.var_map().keys().copied().collect();
+                builder.var_map().iter().map(|(v, _)| v).collect();
             let mentioned: std::collections::HashSet<VarId> =
                 ctx.free_vars(folded).into_iter().collect();
             assert_eq!(mapped, mentioned);

@@ -57,6 +57,7 @@
 pub mod bitblast;
 pub mod budget;
 pub mod cnf;
+mod dense;
 pub mod dpll;
 pub mod model;
 pub mod sat;

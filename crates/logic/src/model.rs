@@ -7,8 +7,7 @@
 //! memoizing counterpart for checking many shared-structure terms against
 //! one model (the lifter's witness cache).
 
-use std::collections::HashMap;
-
+use crate::dense::IdMap;
 use crate::sort::{EnumSortId, Sort};
 use crate::term::{Ctx, TermId, TermNode, VarId};
 
@@ -41,10 +40,11 @@ impl Value {
     }
 }
 
-/// A (possibly partial) map from variables to values.
+/// A (possibly partial) map from variables to values, indexed by
+/// [`VarId`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Assignment {
-    values: HashMap<VarId, Value>,
+    values: IdMap<VarId, Value>,
 }
 
 impl Assignment {
@@ -60,7 +60,7 @@ impl Assignment {
 
     /// Look up a variable.
     pub fn get(&self, v: VarId) -> Option<Value> {
-        self.values.get(&v).copied()
+        self.values.get(v).copied()
     }
 
     /// Number of bound variables.
@@ -70,12 +70,12 @@ impl Assignment {
 
     /// True if no variable is bound.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.values.len() == 0
     }
 
-    /// Iterate over bindings in unspecified order.
+    /// Iterate over bindings in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (VarId, Value)> + '_ {
-        self.values.iter().map(|(&v, &val)| (v, val))
+        self.values.iter().map(|(v, &val)| (v, val))
     }
 
     /// Evaluate a term of any sort. Returns `None` if an unbound variable is
@@ -149,7 +149,7 @@ impl Assignment {
     pub fn well_sorted(&self, ctx: &Ctx) -> bool {
         self.values
             .iter()
-            .all(|(&v, &val)| match (ctx.var(v).sort, val) {
+            .all(|(v, &val)| match (ctx.var(v).sort, val) {
                 (Sort::Bool, Value::Bool(_)) => true,
                 (Sort::Int { lo, hi }, Value::Int(i)) => lo <= i && i <= hi,
                 (Sort::Enum(e), Value::Enum(ve, i)) => {
@@ -227,11 +227,12 @@ impl Assignment {
 /// `true` under `∨`) even when a sibling is unbound, and `None` means the
 /// value depends on an unbound variable. Each compound subterm is
 /// evaluated once per evaluator, so a term DAG costs time linear in its
-/// size instead of in its tree expansion.
+/// size instead of in its tree expansion. The memo is indexed by
+/// [`TermId`].
 #[derive(Debug, Clone)]
 pub struct Evaluator {
     asg: Assignment,
-    memo: HashMap<TermId, Option<bool>>,
+    memo: IdMap<TermId, Option<bool>>,
 }
 
 impl Evaluator {
@@ -239,7 +240,7 @@ impl Evaluator {
     pub fn new(asg: Assignment) -> Self {
         Evaluator {
             asg,
-            memo: HashMap::new(),
+            memo: IdMap::default(),
         }
     }
 
@@ -259,7 +260,7 @@ impl Evaluator {
             // Constants, variables and theory atoms over leaves.
             return self.asg.eval_bool(ctx, t);
         }
-        if let Some(&v) = self.memo.get(&t) {
+        if let Some(&v) = self.memo.get(t) {
             return v;
         }
         let v = match node {
@@ -430,6 +431,32 @@ mod tests {
         assert_eq!(ev.eval_bool(&ctx, or), Some(true));
         let ba = ctx.and2(b, nc);
         assert_eq!(ev.eval_bool(&ctx, ba), None);
+    }
+
+    /// Values are stored by variable id, yet `len` and equality see only
+    /// the bound variables: the slots below the highest bound id count for
+    /// nothing, and the order of binding does not matter.
+    #[test]
+    fn len_and_equality_count_bindings_not_slots() {
+        let mut a = Assignment::new();
+        assert!(a.is_empty());
+        a.set(VarId(7), Value::Bool(true));
+        assert_eq!(a.len(), 1);
+        assert!(!a.is_empty());
+        let mut b = Assignment::new();
+        b.set(VarId(2), Value::Int(4));
+        b.set(VarId(7), Value::Bool(true));
+        assert_ne!(a, b);
+        a.set(VarId(2), Value::Int(4));
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 2);
+        a.set(VarId(2), Value::Int(5));
+        assert_eq!(a.len(), 2, "rebinding is not a new binding");
+        assert_ne!(a, b);
+        assert_eq!(
+            a.iter().collect::<Vec<_>>(),
+            vec![(VarId(2), Value::Int(5)), (VarId(7), Value::Bool(true))]
+        );
     }
 
     #[test]

@@ -7,6 +7,13 @@
 //! bit-blasting pipeline reduces every finite-domain formula in the
 //! workspace to the clause sets solved here.
 //!
+//! Branching takes the unassigned variable of highest activity, the lowest
+//! index among equals, from a binary max-heap (`VarOrder`). Every
+//! unassigned variable is in the heap; an assigned one leaves it lazily,
+//! when it reaches the top. Because the order is total, the heap picks
+//! exactly the variable a scan over all variables would, at O(log n) per
+//! decision instead of O(n).
+//!
 //! The implementation follows the MiniSat architecture. It is deliberately
 //! free of unsafe code and of heuristics that only pay off on industrial
 //! instances (phase saving beyond polarity caching, preprocessing): the
@@ -188,6 +195,8 @@ pub struct SatSolver {
     trail_lim: Vec<usize>,
     qhead: usize,
     activity: Vec<f64>,
+    /// Branching candidates, ordered by `activity`.
+    order: VarOrder,
     var_inc: f64,
     /// Set at level 0 when the instance is discovered unsatisfiable.
     unsat: bool,
@@ -198,6 +207,118 @@ pub struct SatSolver {
     budget: Budget,
     /// Statistics for the current/last `solve` call.
     pub stats: SatStats,
+    /// Branch by the reference scan instead of the heap.
+    #[cfg(test)]
+    branch_by_scan: bool,
+    /// Every variable branched on, in order.
+    #[cfg(test)]
+    branched: Vec<usize>,
+}
+
+/// The variables that may be branched on, as a binary max-heap keyed by
+/// activity, ties going to the lower index. Activities live in the solver;
+/// every operation that compares takes them as an argument.
+#[derive(Debug, Default)]
+struct VarOrder {
+    heap: Vec<u32>,
+    /// Position of each variable in `heap`, or `ABSENT`.
+    pos: Vec<u32>,
+}
+
+const ABSENT: u32 = u32::MAX;
+
+impl VarOrder {
+    /// Does `a` branch before `b`?
+    fn before(activity: &[f64], a: u32, b: u32) -> bool {
+        let (x, y) = (activity[a as usize], activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    fn contains(&self, v: usize) -> bool {
+        self.pos[v] != ABSENT
+    }
+
+    /// Add the variable `v == pos.len()`, which has never been in the heap.
+    fn grow(&mut self, activity: &[f64]) {
+        self.pos.push(ABSENT);
+        self.insert(self.pos.len() - 1, activity);
+    }
+
+    fn insert(&mut self, v: usize, activity: &[f64]) {
+        debug_assert!(!self.contains(v));
+        self.pos[v] = self.heap.len() as u32;
+        self.heap.push(v as u32);
+        self.sift_up(self.heap.len() - 1, activity);
+    }
+
+    /// Restore the order after `v`'s activity grew.
+    fn raised(&mut self, v: usize, activity: &[f64]) {
+        if self.contains(v) {
+            self.sift_up(self.pos[v] as usize, activity);
+        }
+    }
+
+    /// Remove and return the first variable in branching order.
+    fn pop(&mut self, activity: &[f64]) -> Option<usize> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("the heap is non-empty");
+        self.pos[top as usize] = ABSENT;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.pos[last as usize] = 0;
+            self.sift_down(0, activity);
+        }
+        Some(top as usize)
+    }
+
+    /// Re-establish the heap over new activities, which may have reordered
+    /// any two of its variables.
+    fn rebuild(&mut self, activity: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !Self::before(activity, v, self.heap[parent]) {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            self.pos[self.heap[i] as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len()
+                && Self::before(activity, self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            if !Self::before(activity, self.heap[child], v) {
+                break;
+            }
+            self.heap[i] = self.heap[child];
+            self.pos[self.heap[i] as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
 }
 
 /// Conflicts between two introspection samples (`sat.timeline`, and
@@ -226,11 +347,16 @@ impl Default for SatSolver {
             trail_lim: Vec::new(),
             qhead: 0,
             activity: Vec::new(),
+            order: VarOrder::default(),
             var_inc: 1.0,
             unsat: false,
             last_core: Vec::new(),
             budget: Budget::default(),
             stats: SatStats::default(),
+            #[cfg(test)]
+            branch_by_scan: false,
+            #[cfg(test)]
+            branched: Vec::new(),
         }
     }
 }
@@ -250,6 +376,7 @@ impl SatSolver {
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(0.0);
+        self.order.grow(&self.activity);
         self.watches.push(Vec::new()); // positive literal
         self.watches.push(Vec::new()); // negative literal
         v
@@ -264,14 +391,22 @@ impl SatSolver {
     /// unsatisfiable (including via this clause being empty after
     /// level-0 simplification).
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
+        self.add_clause_owned(lits.to_vec())
+    }
+
+    /// [`SatSolver::add_clause`] for a clause the caller hands over: it is
+    /// simplified in place and stored as it is, with no copy.
+    pub(crate) fn add_clause_owned(&mut self, mut lits: Vec<Lit>) -> bool {
         debug_assert_eq!(self.decision_level(), 0, "clauses must be added at level 0");
         if self.unsat {
             return false;
         }
         // Level-0 simplification: drop false literals, detect satisfied or
-        // tautological clauses, dedup.
-        let mut simplified: Vec<Lit> = Vec::with_capacity(lits.len());
-        for &l in lits {
+        // tautological clauses, dedup. The kept literals are compacted into
+        // the front of `lits`.
+        let mut kept = 0;
+        for i in 0..lits.len() {
+            let l = lits[i];
             debug_assert!(
                 l.var() < self.num_vars,
                 "literal references unknown variable"
@@ -280,22 +415,24 @@ impl SatSolver {
                 Val::True => return true, // already satisfied
                 Val::False => continue,
                 Val::Undef => {
-                    if simplified.contains(&l.negated()) {
+                    if lits[..kept].contains(&l.negated()) {
                         return true; // tautology
                     }
-                    if !simplified.contains(&l) {
-                        simplified.push(l);
+                    if !lits[..kept].contains(&l) {
+                        lits[kept] = l;
+                        kept += 1;
                     }
                 }
             }
         }
-        match simplified.len() {
+        lits.truncate(kept);
+        match lits.len() {
             0 => {
                 self.unsat = true;
                 false
             }
             1 => {
-                self.enqueue(simplified[0], None);
+                self.enqueue(lits[0], None);
                 if self.propagate().is_some() {
                     self.unsat = true;
                     false
@@ -305,9 +442,9 @@ impl SatSolver {
             }
             _ => {
                 let idx = self.clauses.len();
-                self.watch(simplified[0], idx);
-                self.watch(simplified[1], idx);
-                self.clauses.push(simplified);
+                self.watch(lits[0], idx);
+                self.watch(lits[1], idx);
+                self.clauses.push(lits);
                 self.clause_info.push(ClauseInfo {
                     learned: false,
                     lbd: 0,
@@ -433,6 +570,11 @@ impl SatSolver {
                 *a /= RESCALE_LIMIT;
             }
             self.var_inc /= RESCALE_LIMIT;
+            // The division can round two activities together, and their
+            // tie then goes to the lower index, whatever the heap held.
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.raised(v, &self.activity);
         }
     }
 
@@ -453,8 +595,8 @@ impl SatSolver {
         loop {
             let start = if p.is_none() { 0 } else { 1 };
             // For the reason clause of p, skip position 0 (p itself).
-            let lits: Vec<Lit> = self.clauses[clause][start..].to_vec();
-            for q in lits {
+            for k in start..self.clauses[clause].len() {
+                let q = self.clauses[clause][k];
                 let v = q.var();
                 if !seen[v] && self.level[v] > 0 {
                     seen[v] = true;
@@ -592,15 +734,34 @@ impl SatSolver {
             let v = self.trail[i].var();
             self.assign[v] = Val::Undef;
             self.reason[v] = None;
+            if !self.order.contains(v) {
+                self.order.insert(v, &self.activity);
+            }
         }
         self.trail.truncate(lim);
         self.trail_lim.truncate(level as usize);
         self.qhead = self.trail.len();
     }
 
-    fn pick_branch_var(&self) -> Option<usize> {
-        // Linear VSIDS scan: adequate at this workspace's instance sizes and
-        // keeps the solver free of heap bookkeeping bugs.
+    /// The unassigned variable of highest activity, the lowest index among
+    /// equals; `None` when every variable is assigned.
+    fn pick_branch_var(&mut self) -> Option<usize> {
+        #[cfg(test)]
+        if self.branch_by_scan {
+            return self.scan_branch_var();
+        }
+        while let Some(v) = self.order.pop(&self.activity) {
+            if self.assign[v] == Val::Undef {
+                return Some(v);
+            }
+        }
+        None
+    }
+
+    /// The reference for [`SatSolver::pick_branch_var`]: a scan over every
+    /// variable.
+    #[cfg(test)]
+    fn scan_branch_var(&self) -> Option<usize> {
         let mut best: Option<usize> = None;
         for v in 0..self.num_vars {
             if self.assign[v] == Val::Undef
@@ -766,8 +927,7 @@ impl SatSolver {
                 // Conflicts below or at the assumption prefix mean the
                 // assumptions themselves are contradictory with the clauses.
                 if (self.decision_level() as usize) <= assumptions.len() {
-                    let lits = self.clauses[confl].clone();
-                    self.analyze_final(&lits, assumptions, None);
+                    self.last_core = self.final_core(&self.clauses[confl], assumptions, None);
                     return SearchOutcome::Unsat;
                 }
                 let (learned, bt) = self.analyze(confl);
@@ -794,7 +954,7 @@ impl SatSolver {
                             self.trail_lim.push(self.trail.len());
                         }
                         Val::False => {
-                            self.analyze_final(&[a], assumptions, Some(a));
+                            self.last_core = self.final_core(&[a], assumptions, Some(a));
                             return SearchOutcome::Unsat;
                         }
                         Val::Undef => {
@@ -807,6 +967,8 @@ impl SatSolver {
                 match self.pick_branch_var() {
                     None => return SearchOutcome::Sat,
                     Some(v) => {
+                        #[cfg(test)]
+                        self.branched.push(v);
                         self.stats.decisions += 1;
                         self.trail_lim.push(self.trail.len());
                         let lit = Lit::with_polarity(v, self.polarity[v]);
@@ -817,13 +979,12 @@ impl SatSolver {
         }
     }
 
-    /// Compute the unsat core over the assumptions from a final conflict:
-    /// mark the seed literals' variables, walk the trail backwards expanding
+    /// The unsat core over the assumptions from a final conflict: mark the
+    /// seed literals' variables, walk the trail backwards expanding
     /// reasons; decisions reached this way are the responsible assumptions.
     /// `extra` adds a literal to the core directly (the assumption whose
     /// enqueue failed).
-    fn analyze_final(&mut self, seed_lits: &[Lit], assumptions: &[Lit], extra: Option<Lit>) {
-        let assumption_set: std::collections::HashSet<Lit> = assumptions.iter().copied().collect();
+    fn final_core(&self, seed_lits: &[Lit], assumptions: &[Lit], extra: Option<Lit>) -> Vec<Lit> {
         let mut seen = vec![false; self.num_vars];
         for l in seed_lits {
             if self.level[l.var()] > 0 {
@@ -839,7 +1000,7 @@ impl SatSolver {
             }
             match self.reason[v] {
                 Some(cl) => {
-                    for q in self.clauses[cl].clone() {
+                    for q in &self.clauses[cl] {
                         if self.level[q.var()] > 0 {
                             seen[q.var()] = true;
                         }
@@ -849,7 +1010,7 @@ impl SatSolver {
                     // A decision inside the assumption prefix is an
                     // assumption (general decisions only exist above it, and
                     // a final conflict never reaches them).
-                    if assumption_set.contains(&l) {
+                    if assumptions.contains(&l) {
                         core.push(l);
                     }
                 }
@@ -857,7 +1018,7 @@ impl SatSolver {
         }
         core.sort();
         core.dedup();
-        self.last_core = core;
+        core
     }
 
     /// One point of the solver introspection timeline, attached to the
@@ -1290,6 +1451,129 @@ mod tests {
             SatResult::Unknown(i) => assert_eq!(i.reason, InterruptReason::Fault),
             other => panic!("expected unknown, got {other:?}"),
         }
+    }
+
+    /// A solver over `n` variables and `clauses`, branching from the heap
+    /// or, for the reference, by the scan.
+    fn loaded(n: usize, clauses: &[Vec<Lit>], by_scan: bool) -> SatSolver {
+        let mut s = SatSolver::new();
+        s.branch_by_scan = by_scan;
+        for _ in 0..n {
+            s.new_var();
+        }
+        for c in clauses {
+            s.add_clause(c);
+        }
+        s
+    }
+
+    fn same_stats(a: &SatStats, b: &SatStats) -> bool {
+        let key = |s: &SatStats| {
+            [
+                s.decisions,
+                s.propagations,
+                s.conflicts,
+                s.restarts,
+                s.learned,
+                s.lbd_sum,
+                s.lbd_glue,
+                s.lbd_mid,
+                s.lbd_high,
+            ]
+        };
+        key(a) == key(b)
+    }
+
+    /// The heap branches on the scan's variable at every decision: on
+    /// random 3-SAT instances near the threshold, over a stream of queries
+    /// with and without assumptions, with activities rescaled mid-search,
+    /// the two solvers make the same decisions and report the same stats,
+    /// models and cores.
+    #[test]
+    fn heap_branches_like_the_scan() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x4EAF);
+        let mut rescaled = 0;
+        for round in 0..60 {
+            let n = rng.gen_range(8..40);
+            let m = n * 4 + rng.gen_range(0..n);
+            let clauses: Vec<Vec<Lit>> = (0..m)
+                .map(|_| {
+                    (0..3)
+                        .map(|_| Lit::with_polarity(rng.gen_range(0..n), rng.gen_bool(0.5)))
+                        .collect()
+                })
+                .collect();
+            let mut heap = loaded(n, &clauses, false);
+            let mut scan = loaded(n, &clauses, true);
+            for query in 0..6 {
+                let assumptions: Vec<Lit> = (0..rng.gen_range(0..4))
+                    .map(|_| Lit::with_polarity(rng.gen_range(0..n), rng.gen_bool(0.5)))
+                    .collect();
+                if query % 3 == 2 {
+                    // The next conflicts bump activities past the limit.
+                    heap.var_inc = 1e99;
+                    scan.var_inc = 1e99;
+                }
+                let expect = scan.solve_with_assumptions(&assumptions);
+                let got = heap.solve_with_assumptions(&assumptions);
+                let at = format!("round {round}, query {query}");
+                assert_eq!(got, expect, "{at}");
+                assert_eq!(heap.branched, scan.branched, "{at}");
+                assert!(same_stats(&heap.stats, &scan.stats), "{at}");
+                assert_eq!(heap.unsat_core(), scan.unsat_core(), "{at}");
+                assert_eq!(heap.activity, scan.activity, "{at}");
+                if heap.var_inc < 1.0 {
+                    rescaled += 1;
+                }
+            }
+        }
+        assert!(rescaled > 0, "no query rescaled its activities");
+    }
+
+    /// A rescale can round activities together; the scan then breaks
+    /// their ties by index, and so must the heap, whatever order it held
+    /// them in before.
+    #[test]
+    fn rescale_rebreaks_ties_by_index() {
+        let mut s = SatSolver::new();
+        for _ in 0..5 {
+            s.new_var();
+        }
+        // The heap holds [1, 3, 2, 0, 4]: variable 3 above variable 0, by a
+        // margin the rescale rounds away.
+        s.activity = vec![1e-300, 5e-300, 3e-300, 4e-300, 0.0];
+        s.order.rebuild(&s.activity);
+        assert_eq!(s.order.heap, [1, 3, 2, 0, 4]);
+        s.var_inc = 2e100;
+        s.bump_var(2);
+        assert_eq!(s.activity, [0.0, 0.0, 2.0, 0.0, 0.0]);
+        let mut picks = Vec::new();
+        while let Some(v) = s.scan_branch_var() {
+            assert_eq!(s.pick_branch_var(), Some(v), "after {picks:?}");
+            s.assign[v] = Val::True;
+            picks.push(v);
+        }
+        assert_eq!(s.pick_branch_var(), None);
+        assert_eq!(picks, [2, 0, 1, 3, 4]);
+    }
+
+    /// A handed-over clause is simplified in place and stored in the
+    /// allocation it came in.
+    #[test]
+    fn owned_clause_is_stored_without_a_copy() {
+        let mut s = SatSolver::new();
+        let (a, b, c) = (s.new_var(), s.new_var(), s.new_var());
+        assert!(s.add_clause(&[Lit::neg(c)]));
+        let clause = vec![Lit::pos(a), Lit::pos(c), Lit::pos(b), Lit::pos(a)];
+        let buffer = clause.as_ptr();
+        assert!(s.add_clause_owned(clause));
+        assert_eq!(s.clauses[0], [Lit::pos(a), Lit::pos(b)]);
+        assert_eq!(s.clauses[0].as_ptr(), buffer);
+        // Satisfied and tautological clauses are dropped.
+        assert!(s.add_clause_owned(vec![Lit::neg(c), Lit::pos(a)]));
+        assert!(s.add_clause_owned(vec![Lit::pos(b), Lit::neg(a), Lit::neg(b)]));
+        assert_eq!(s.num_clauses(), 1);
     }
 
     #[test]

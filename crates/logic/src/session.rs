@@ -144,7 +144,7 @@ impl SmtSession {
             self.sat.new_var();
         }
         for clause in self.builder.take_new_clauses() {
-            if !self.sat.add_clause(&clause) {
+            if !self.sat.add_clause_owned(clause) {
                 self.unsat = true;
             }
         }

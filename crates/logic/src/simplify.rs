@@ -37,6 +37,7 @@
 
 use std::collections::HashMap;
 
+use crate::dense::IdMap;
 use crate::sort::Sort;
 use crate::term::{Ctx, TermId, TermNode};
 
@@ -145,12 +146,12 @@ impl SimplifyStats {
     }
 }
 
-/// The simplifier. Holds the rule mask, a memo table keyed on interned term
-/// ids (valid because terms are immutable), and firing statistics.
+/// The simplifier. Holds the rule mask, a memo table indexed by interned
+/// term id (valid because terms are immutable), and firing statistics.
 #[derive(Debug)]
 pub struct Simplifier {
     mask: RuleMask,
-    memo: HashMap<TermId, TermId>,
+    memo: IdMap<TermId, TermId>,
     /// When false, results are not memoized — every shared subterm is
     /// re-simplified at each occurrence. Exists only for the memoization
     /// ablation benchmark (DESIGN.md ✦); leave enabled otherwise.
@@ -178,7 +179,7 @@ impl Simplifier {
     pub fn new(mask: RuleMask) -> Self {
         Simplifier {
             mask,
-            memo: HashMap::new(),
+            memo: IdMap::default(),
             use_memo: true,
             budget: crate::budget::Budget::default(),
             interrupt: None,
@@ -257,7 +258,7 @@ impl Simplifier {
     /// equivalent to the input, just not minimal.
     pub fn simplify(&mut self, ctx: &mut Ctx, t: TermId) -> TermId {
         if self.use_memo {
-            if let Some(&r) = self.memo.get(&t) {
+            if let Some(&r) = self.memo.get(t) {
                 self.stats.memo_hits += 1;
                 return r;
             }
@@ -297,7 +298,7 @@ impl Simplifier {
     }
 
     fn rebuild_with_simplified_children(&mut self, ctx: &mut Ctx, t: TermId) -> TermId {
-        match ctx.node(t).clone() {
+        match *ctx.node(t) {
             TermNode::True
             | TermNode::False
             | TermNode::BoolVar(_)
@@ -313,21 +314,8 @@ impl Simplifier {
                     ctx.not(a2)
                 }
             }
-            TermNode::And(cs) => {
-                let cs2: Vec<TermId> = cs.iter().map(|&c| self.simplify(ctx, c)).collect();
-                if cs2[..] == cs[..] {
-                    t
-                } else {
-                    ctx.and(&cs2)
-                }
-            }
-            TermNode::Or(cs) => {
-                let cs2: Vec<TermId> = cs.iter().map(|&c| self.simplify(ctx, c)).collect();
-                if cs2[..] == cs[..] {
-                    t
-                } else {
-                    ctx.or(&cs2)
-                }
+            TermNode::And(_) | TermNode::Or(_) => {
+                ctx.map_operands(t, |ctx, c| self.simplify(ctx, c))
             }
             TermNode::Implies(a, b) => {
                 let (a2, b2) = (self.simplify(ctx, a), self.simplify(ctx, b));
@@ -398,6 +386,22 @@ impl Simplifier {
     }
 }
 
+/// Whether `t` is a conjunction (`true`) or a disjunction (`false`), with
+/// its operands borrowed; `None` for any other node.
+fn junction(ctx: &Ctx, t: TermId) -> Option<(bool, &[TermId])> {
+    match ctx.node(t) {
+        TermNode::And(cs) => Some((true, cs)),
+        TermNode::Or(cs) => Some((false, cs)),
+        _ => None,
+    }
+}
+
+/// True if some operand occurs twice. The operands are scanned where they
+/// lie in the arena, so R6 allocates nothing when it does not fire.
+fn has_duplicate(cs: &[TermId]) -> bool {
+    cs.iter().enumerate().any(|(i, c)| cs[..i].contains(c))
+}
+
 fn is_true(ctx: &Ctx, t: TermId) -> bool {
     matches!(ctx.node(t), TermNode::True)
 }
@@ -463,16 +467,12 @@ fn r5_or_annihilator(ctx: &mut Ctx, t: TermId) -> Option<TermId> {
 
 /// R6: remove duplicate children of ∧ / ∨.
 fn r6_idempotence(ctx: &mut Ctx, t: TermId) -> Option<TermId> {
-    let (is_and, cs) = match ctx.node(t) {
-        TermNode::And(cs) => (true, cs.to_vec()),
-        TermNode::Or(cs) => (false, cs.to_vec()),
-        _ => return None,
-    };
-    let mut seen = std::collections::HashSet::new();
-    let kept: Vec<TermId> = cs.iter().copied().filter(|&c| seen.insert(c)).collect();
-    if kept.len() == cs.len() {
+    let (is_and, cs) = junction(ctx, t)?;
+    if !has_duplicate(cs) {
         return None;
     }
+    let mut seen = std::collections::HashSet::new();
+    let kept: Vec<TermId> = cs.iter().copied().filter(|&c| seen.insert(c)).collect();
     Some(if is_and {
         ctx.and(&kept)
     } else {
@@ -482,24 +482,19 @@ fn r6_idempotence(ctx: &mut Ctx, t: TermId) -> Option<TermId> {
 
 /// R7: `… ∧ a ∧ ¬a ∧ … → ⊥` and `… ∨ a ∨ ¬a ∨ … → ⊤`.
 fn r7_complement(ctx: &mut Ctx, t: TermId) -> Option<TermId> {
-    let (is_and, cs) = match ctx.node(t) {
-        TermNode::And(cs) => (true, cs.to_vec()),
-        TermNode::Or(cs) => (false, cs.to_vec()),
-        _ => return None,
-    };
-    let set: std::collections::HashSet<TermId> = cs.iter().copied().collect();
-    for &c in &cs {
-        if let TermNode::Not(inner) = *ctx.node(c) {
-            if set.contains(&inner) {
-                return Some(if is_and {
-                    ctx.mk_false()
-                } else {
-                    ctx.mk_true()
-                });
-            }
-        }
+    let (is_and, cs) = junction(ctx, t)?;
+    let complemented = cs.iter().any(|&c| match *ctx.node(c) {
+        TermNode::Not(inner) => cs.contains(&inner),
+        _ => false,
+    });
+    if !complemented {
+        return None;
     }
-    None
+    Some(if is_and {
+        ctx.mk_false()
+    } else {
+        ctx.mk_true()
+    })
 }
 
 /// R8: `¬¬a → a`.
@@ -516,24 +511,19 @@ fn r8_double_negation(ctx: &mut Ctx, t: TermId) -> Option<TermId> {
 /// conjunct as one of its disjuncts is redundant (`a ∧ (a ∨ b) → a`), and
 /// dually for disjunctions.
 fn r9_absorption(ctx: &mut Ctx, t: TermId) -> Option<TermId> {
-    let (is_and, cs) = match ctx.node(t) {
-        TermNode::And(cs) => (true, cs.to_vec()),
-        TermNode::Or(cs) => (false, cs.to_vec()),
-        _ => return None,
-    };
-    let siblings: std::collections::HashSet<TermId> = cs.iter().copied().collect();
-    let absorbed = |ctx: &Ctx, c: TermId| -> bool {
+    let (is_and, cs) = junction(ctx, t)?;
+    let absorbed = |c: TermId| -> bool {
         let inner = match (is_and, ctx.node(c)) {
             (true, TermNode::Or(ds)) => ds,
             (false, TermNode::And(ds)) => ds,
             _ => return false,
         };
-        inner.iter().any(|d| *d != c && siblings.contains(d))
+        inner.iter().any(|&d| d != c && cs.contains(&d))
     };
-    if !cs.iter().any(|&c| absorbed(ctx, c)) {
+    if !cs.iter().any(|&c| absorbed(c)) {
         return None;
     }
-    let kept: Vec<TermId> = cs.iter().copied().filter(|&c| !absorbed(ctx, c)).collect();
+    let kept: Vec<TermId> = cs.iter().copied().filter(|&c| !absorbed(c)).collect();
     Some(if is_and {
         ctx.and(&kept)
     } else {
@@ -691,28 +681,18 @@ fn r12_theory_const_fold(ctx: &mut Ctx, t: TermId) -> Option<TermId> {
 /// R13: equality substitution within a conjunction:
 /// `x = c ∧ φ → x = c ∧ φ[c/x]`.
 fn r13_equality_substitution(ctx: &mut Ctx, t: TermId) -> Option<TermId> {
-    let cs = match ctx.node(t) {
-        TermNode::And(cs) => cs.to_vec(),
-        _ => return None,
+    let TermNode::And(cs) = ctx.node(t) else {
+        return None;
     };
-    // Collect var-term → const-term bindings from conjuncts of shape
-    // `var = const` (either orientation after Eq canonicalization).
+    if !cs.iter().any(|&c| var_binding(ctx, c).is_some()) {
+        return None;
+    }
+    let cs = cs.to_vec();
     let mut bindings: HashMap<TermId, TermId> = HashMap::new();
     for &c in &cs {
-        if let TermNode::Eq(a, b) = *ctx.node(c) {
-            let a_is_var = matches!(ctx.node(a), TermNode::EnumVar(_) | TermNode::IntVar(_));
-            let b_is_var = matches!(ctx.node(b), TermNode::EnumVar(_) | TermNode::IntVar(_));
-            let a_is_const = matches!(ctx.node(a), TermNode::EnumConst(..) | TermNode::IntConst(_));
-            let b_is_const = matches!(ctx.node(b), TermNode::EnumConst(..) | TermNode::IntConst(_));
-            if a_is_var && b_is_const {
-                bindings.entry(a).or_insert(b);
-            } else if b_is_var && a_is_const {
-                bindings.entry(b).or_insert(a);
-            }
+        if let Some((var, value)) = var_binding(ctx, c) {
+            bindings.entry(var).or_insert(value);
         }
-    }
-    if bindings.is_empty() {
-        return None;
     }
     let mut changed = false;
     let mut out = Vec::with_capacity(cs.len());
@@ -738,24 +718,38 @@ fn r13_equality_substitution(ctx: &mut Ctx, t: TermId) -> Option<TermId> {
     Some(ctx.and(&out))
 }
 
+/// The var-term → const-term binding a conjunct of shape `var = const`
+/// makes (either orientation after Eq canonicalization).
+fn var_binding(ctx: &Ctx, c: TermId) -> Option<(TermId, TermId)> {
+    let TermNode::Eq(a, b) = *ctx.node(c) else {
+        return None;
+    };
+    let is_var = |u: TermId| matches!(ctx.node(u), TermNode::EnumVar(_) | TermNode::IntVar(_));
+    let is_const =
+        |u: TermId| matches!(ctx.node(u), TermNode::EnumConst(..) | TermNode::IntConst(_));
+    if is_var(a) && is_const(b) {
+        Some((a, b))
+    } else if is_var(b) && is_const(a) {
+        Some((b, a))
+    } else {
+        None
+    }
+}
+
 /// R14: flatten nested conjunctions / disjunctions.
 fn r14_flatten(ctx: &mut Ctx, t: TermId) -> Option<TermId> {
-    let (is_and, cs) = match ctx.node(t) {
-        TermNode::And(cs) => (true, cs.to_vec()),
-        TermNode::Or(cs) => (false, cs.to_vec()),
-        _ => return None,
-    };
-    let nested = |ctx: &Ctx, c: TermId| -> bool {
+    let (is_and, cs) = junction(ctx, t)?;
+    let nested = |c: TermId| -> bool {
         matches!(
             (is_and, ctx.node(c)),
             (true, TermNode::And(_)) | (false, TermNode::Or(_))
         )
     };
-    if !cs.iter().any(|&c| nested(ctx, c)) {
+    if !cs.iter().any(|&c| nested(c)) {
         return None;
     }
     let mut out = Vec::new();
-    for &c in &cs {
+    for &c in cs {
         match (is_and, ctx.node(c)) {
             (true, TermNode::And(inner)) | (false, TermNode::Or(inner)) => {
                 out.extend(inner.iter().copied())
@@ -1103,6 +1097,45 @@ mod tests {
             brute_force_equivalent(&ctx, f, g, 2000),
             "interrupted simplification must stay equivalent"
         );
+    }
+
+    /// The memo-entry cap counts distinct memoized terms. On a fixed
+    /// formula each cap interrupts at the same point it always has: the
+    /// same entries held, the same subterms simplified, the same rewrites.
+    #[test]
+    fn memo_cap_fires_at_a_fixed_entry_count() {
+        use crate::budget::Budget;
+        let mut ctx = Ctx::new();
+        let vars: Vec<_> = (0..6).map(|i| ctx.bool_var(&format!("v{i}"))).collect();
+        let t = ctx.mk_true();
+        let noisy: Vec<_> = vars.iter().map(|&v| ctx.and2(v, t)).collect();
+        let pairs: Vec<_> = noisy.chunks(2).map(|p| ctx.or2(p[0], p[1])).collect();
+        let f = ctx.and(&pairs);
+        let observed: Vec<(usize, usize, u64, u64)> = (1..=12)
+            .map(|cap| {
+                let budget = Budget::unlimited().max_memo_entries(cap);
+                let mut s = Simplifier::default().with_budget(budget);
+                s.simplify(&mut ctx, f);
+                assert!(s.interrupted().is_some(), "cap {cap}");
+                (cap, s.memo.len(), s.stats.memo_misses, s.stats.total())
+            })
+            .collect();
+        // (cap, entries held, memo misses, rule firings)
+        let expected = [
+            (1, 1, 8, 0),
+            (2, 3, 8, 1),
+            (3, 3, 8, 1),
+            (4, 7, 9, 2),
+            (5, 7, 9, 2),
+            (6, 7, 9, 2),
+            (7, 7, 9, 2),
+            (8, 9, 12, 3),
+            (9, 9, 12, 3),
+            (10, 13, 13, 4),
+            (11, 13, 13, 4),
+            (12, 13, 13, 4),
+        ];
+        assert_eq!(observed, expected);
     }
 
     #[test]

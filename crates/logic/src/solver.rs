@@ -10,10 +10,11 @@
 
 use crate::bitblast::BitBlaster;
 use crate::budget::{Budget, Interrupt};
+use crate::dense::IdMap;
 use crate::model::{Assignment, Value};
 use crate::sat::SatStats;
 use crate::session::SmtSession;
-use crate::term::{Ctx, TermId, TermNode};
+use crate::term::{Ctx, TermId, TermNode, VarId};
 
 /// Accumulate one query's CDCL search statistics into the observability
 /// counters. No-op when no obs session is installed.
@@ -34,17 +35,17 @@ pub(crate) fn record_sat_stats(stats: &SatStats) {
 pub(crate) fn decode_model(
     ctx: &Ctx,
     bb: &BitBlaster,
-    var_map: &std::collections::HashMap<crate::term::VarId, usize>,
+    var_map: &IdMap<VarId, u32>,
     model: &[bool],
 ) -> Assignment {
     let mut asg = bb.decode(ctx, &|v| {
-        var_map.get(&v).map(|&sv| model[sv]).unwrap_or(false)
+        var_map.get(v).is_some_and(|&sv| model[sv as usize])
     });
     // Original boolean variables map directly. Encoding booleans introduced
     // by the bit-blaster are also included; harmless.
-    for (&tv, &sv) in var_map {
+    for (tv, &sv) in var_map.iter() {
         if asg.get(tv).is_none() {
-            asg.set(tv, Value::Bool(model[sv]));
+            asg.set(tv, Value::Bool(model[sv as usize]));
         }
     }
     asg

@@ -529,6 +529,14 @@ impl Ctx {
 
     /// Children of a node, in order.
     pub fn children(&self, t: TermId) -> Vec<TermId> {
+        let mut out = Vec::new();
+        self.push_children(t, &mut out);
+        out
+    }
+
+    /// Push the children of a node onto `stack`, in order, reading them in
+    /// place: a tree walk allocates nothing per node.
+    fn push_children(&self, t: TermId, stack: &mut Vec<TermId>) {
         match self.node(t) {
             TermNode::True
             | TermNode::False
@@ -536,15 +544,58 @@ impl Ctx {
             | TermNode::EnumVar(_)
             | TermNode::EnumConst(..)
             | TermNode::IntVar(_)
-            | TermNode::IntConst(_) => Vec::new(),
-            TermNode::Not(a) => vec![*a],
-            TermNode::And(cs) | TermNode::Or(cs) => cs.to_vec(),
+            | TermNode::IntConst(_) => {}
+            TermNode::Not(a) => stack.push(*a),
+            TermNode::And(cs) | TermNode::Or(cs) => stack.extend_from_slice(cs),
             TermNode::Implies(a, b)
             | TermNode::Iff(a, b)
             | TermNode::Eq(a, b)
             | TermNode::Le(a, b)
-            | TermNode::Lt(a, b) => vec![*a, *b],
-            TermNode::Ite(c, t, e) => vec![*c, *t, *e],
+            | TermNode::Lt(a, b) => stack.extend([*a, *b]),
+            TermNode::Ite(c, t, e) => stack.extend([*c, *t, *e]),
+        }
+    }
+
+    /// The operands of an `And`/`Or` node, borrowed from the arena; empty
+    /// for any other node.
+    pub(crate) fn operands(&self, t: TermId) -> &[TermId] {
+        match self.node(t) {
+            TermNode::And(cs) | TermNode::Or(cs) => cs,
+            _ => &[],
+        }
+    }
+
+    /// The `And`/`Or` node `t` rebuilt over `f` of each operand, in order,
+    /// or `t` itself when `f` returns every operand unchanged. `f` may
+    /// extend the arena: each operand is read in place when its turn comes,
+    /// and a new operand list is allocated only once `f` changes one.
+    pub(crate) fn map_operands(
+        &mut self,
+        t: TermId,
+        mut f: impl FnMut(&mut Ctx, TermId) -> TermId,
+    ) -> TermId {
+        let is_and = matches!(self.node(t), TermNode::And(_));
+        let n = self.operands(t).len();
+        debug_assert!(n > 0, "map_operands: not an And/Or node");
+        let mut changed: Option<Vec<TermId>> = None;
+        for i in 0..n {
+            let c = self.operands(t)[i];
+            let c2 = f(self, c);
+            match &mut changed {
+                Some(out) => out.push(c2),
+                None if c2 != c => {
+                    let mut out = Vec::with_capacity(n);
+                    out.extend_from_slice(&self.operands(t)[..i]);
+                    out.push(c2);
+                    changed = Some(out);
+                }
+                None => {}
+            }
+        }
+        match changed {
+            None => t,
+            Some(out) if is_and => self.and(&out),
+            Some(out) => self.or(&out),
         }
     }
 
@@ -555,7 +606,7 @@ impl Ctx {
         let mut stack = vec![t];
         while let Some(u) = stack.pop() {
             size += 1;
-            stack.extend(self.children(u));
+            self.push_children(u, &mut stack);
         }
         size
     }
@@ -566,7 +617,7 @@ impl Ctx {
         let mut stack = vec![t];
         while let Some(u) = stack.pop() {
             if seen.insert(u) {
-                stack.extend(self.children(u));
+                self.push_children(u, &mut stack);
             }
         }
         seen.len()
@@ -600,7 +651,7 @@ impl Ctx {
                 TermNode::BoolVar(v) | TermNode::EnumVar(v) | TermNode::IntVar(v) => {
                     vars.insert(*v);
                 }
-                _ => stack.extend(self.children(u)),
+                _ => self.push_children(u, &mut stack),
             }
         }
         vars.into_iter().collect()
@@ -626,8 +677,7 @@ impl Ctx {
         if let Some(&r) = memo.get(&t) {
             return r;
         }
-        let node = self.node(t).clone();
-        let result = match node {
+        let result = match *self.node(t) {
             TermNode::True
             | TermNode::False
             | TermNode::BoolVar(_)
@@ -643,21 +693,8 @@ impl Ctx {
                     self.not(a2)
                 }
             }
-            TermNode::And(cs) => {
-                let cs2: Vec<TermId> = cs.iter().map(|&c| self.subst_rec(c, map, memo)).collect();
-                if cs2[..] == cs[..] {
-                    t
-                } else {
-                    self.and(&cs2)
-                }
-            }
-            TermNode::Or(cs) => {
-                let cs2: Vec<TermId> = cs.iter().map(|&c| self.subst_rec(c, map, memo)).collect();
-                if cs2[..] == cs[..] {
-                    t
-                } else {
-                    self.or(&cs2)
-                }
+            TermNode::And(_) | TermNode::Or(_) => {
+                self.map_operands(t, |ctx, c| ctx.subst_rec(c, map, memo))
             }
             TermNode::Implies(a, b) => {
                 let (a2, b2) = (self.subst_rec(a, map, memo), self.subst_rec(b, map, memo));
@@ -913,6 +950,22 @@ mod tests {
         let f = ctx.or2(ab, ab); // shared subterm counted twice in tree size
         assert_eq!(ctx.term_size(f), 7);
         assert_eq!(ctx.dag_size(f), 4);
+    }
+
+    #[test]
+    fn map_operands_rebuilds_only_what_changed() {
+        let mut ctx = Ctx::new();
+        let a = ctx.bool_var("a");
+        let b = ctx.bool_var("b");
+        let c = ctx.bool_var("c");
+        let abc = ctx.or(&[a, b, c]);
+        let before = ctx.num_terms();
+        assert_eq!(ctx.map_operands(abc, |_, u| u), abc);
+        assert_eq!(ctx.num_terms(), before, "an unchanged node interns nothing");
+        let nb = ctx.not(b);
+        let swapped = ctx.map_operands(abc, |_, u| if u == b { nb } else { u });
+        assert_eq!(ctx.node(swapped), &TermNode::Or([a, nb, c].into()));
+        assert!(ctx.operands(a).is_empty());
     }
 
     #[test]

@@ -388,4 +388,24 @@ echo "ring:6 lint: $asserts session.assert span(s) under lint.sat (want 1)"
 [ "$asserts" -eq 1 ] \
   || { echo "lint asserted its domain $asserts times, not once per network"; exit 1; }
 
+echo "==> search pin: ring:6 explain --all makes the same decisions"
+# The SAT search is deterministic: each decision branches on the most
+# active unassigned variable, the lowest index among equals, which the
+# solver's heap finds exactly as a scan over every variable would. These
+# counts pin the whole search of synthesis, seed and lift on ring:6, not
+# just its answers: a change to branching, clause loading or the encoding
+# moves them. They are the same at any --workers.
+./target/release/netexpl explain --topology ring:6 --spec "$OBS_DIR/ring-b.txt" --all \
+    --workers 1 --metrics-out "$OBS_DIR/search-metrics.json" > /dev/null
+for pin in sat.decisions=1580 sat.propagations=7476 sat.conflicts=4 \
+           session.queries=284 lift.candidate_checks=295; do
+  name="${pin%=*}"
+  want="${pin#*=}"
+  got="$(grep -o "\"$name\": *[0-9]*" "$OBS_DIR/search-metrics.json" \
+      | grep -o '[0-9]*$' || true)"
+  [ "$got" = "$want" ] \
+    || { echo "ring:6 explain --all: $name is ${got:-missing}, want $want"; exit 1; }
+done
+echo "ring:6 explain --all: search counters as pinned"
+
 echo "==> OK"
