@@ -180,8 +180,7 @@ fn diagnostics_json(diags: &Diagnostics) -> Value {
 /// Exit-code contract: non-zero iff any error-severity finding survives
 /// suppression; warnings and notes exit zero unless `--deny-warnings`
 /// promotes warnings to errors. `--network` additionally runs the
-/// abstract-interpretation dataflow checks (NE013–NE019), with the
-/// fixpoint's concrete witnesses pre-filtering the SAT pass.
+/// abstract-interpretation dataflow checks (NE013–NE019).
 pub fn lint(args: &[String]) -> Result<(), Error> {
     let opts = Options::parse(
         args,
@@ -192,7 +191,6 @@ pub fn lint(args: &[String]) -> Result<(), Error> {
     let topo = topology(opts.require("topology").map_err(usage)?)?;
     let spec_path = opts.require("spec").map_err(usage)?;
     let problem = load_problem(&topo, spec_path)?;
-    let workers = parse_workers(&opts)?;
     // Inline `netexpl-allow(NExxx)` comments in the spec source suppress
     // matching findings (and unused allows are themselves reported).
     let suppressions = std::fs::read_to_string(spec_path)
@@ -212,13 +210,7 @@ pub fn lint(args: &[String]) -> Result<(), Error> {
             Ok(result) => {
                 let vocab = (!opts.flag("no-sat")).then_some(&problem.vocab);
                 if opts.flag("network") {
-                    diags.extend(lint_network(
-                        &topo,
-                        &problem.spec,
-                        &result.config,
-                        vocab,
-                        workers,
-                    ));
+                    diags.extend(lint_network(&topo, &problem.spec, &result.config, vocab, 0));
                 } else {
                     diags.extend(lint_config(&topo, &result.config, vocab));
                 }
@@ -659,13 +651,12 @@ pub fn profile(args: &[String]) -> Result<(), Error> {
         ..Default::default()
     };
     if opts.flag("lint") {
-        let workers = parse_workers(&opts)?;
         let diags = lint_network(
             &p.topo,
             &p.problem.spec,
             &p.result.config,
             Some(&p.problem.vocab),
-            workers,
+            0,
         );
         let (errors, warnings, notes) = diags.counts();
         netexpl_obs::note(&format!(

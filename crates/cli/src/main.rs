@@ -102,13 +102,12 @@ fn print_usage() {
          USAGE:\n\
            netexpl synth    --topology <T> --spec <FILE> [--json]\n\
            netexpl lint     --topology <T> --spec <FILE> [--json] [--no-sat]\n\
-                            [--network [--workers <N>]] [--deny-warnings]\n\
+                            [--network] [--deny-warnings]\n\
                             (exit is non-zero iff an error-severity finding\n\
                             survives; warnings exit zero unless --deny-warnings\n\
                             promotes them. --network adds the dataflow checks\n\
-                            NE013..NE019 and pre-filters the SAT pass with the\n\
-                            fixpoint's witnesses; `! netexpl-allow(NExxx)`\n\
-                            comments in the spec suppress findings)\n\
+                            NE013..NE019; `! netexpl-allow(NExxx)` comments in\n\
+                            the spec suppress findings)\n\
            netexpl explain  --topology <T> --spec <FILE> --router <NAME>\n\
                             [--neighbor <NAME> --dir <import|export> [--entry <N>]]\n\
                             [--skip-lift] [--json]\n\
@@ -126,7 +125,7 @@ fn print_usage() {
            netexpl simulate --topology <T> --spec <FILE> [--fail <A-B>]...\n\
            netexpl scenario <1|2|3>\n\
            netexpl profile  --topology <T> --spec <FILE>\n\
-                            (--router <NAME> | --all [--workers <N>] | --lint [--workers <N>])\n\
+                            (--router <NAME> | --all [--workers <N>] | --lint)\n\
                             [--top <K>] [--trace-out <FILE>]\n\
                             (run the workload under full instrumentation and\n\
                             print the attribution report: critical path, dominant\n\

@@ -29,13 +29,6 @@ pub struct ExplainOptions {
     /// Skip the lifting step (seed + simplification only — the paper's
     /// actual prototype scope).
     pub skip_lift: bool,
-    /// Double-check the simplifier with the solver: prove the simplified
-    /// term equivalent to the seed conjunction (before projection, which is
-    /// deliberately not equivalence-preserving). Off by default — the
-    /// rewrites preserve equivalence by construction — but cheap under
-    /// incremental sessions (both terms encode once, the two entailment
-    /// directions share the CNF) and useful as a belt-and-braces mode.
-    pub verify_simplify: bool,
     /// Resource budget governing the simplification fixpoint and the
     /// lifter's solver queries. Exhaustion never fails the pipeline: the
     /// explanation degrades stage by stage and records what happened in
@@ -328,26 +321,6 @@ pub fn explain_cached(
             Verdict::Exhausted
         };
         verdicts.interrupts.push(i.clone());
-    }
-    if options.verify_simplify && verdicts.simplify == Verdict::Verified {
-        let vspan = Span::enter("simplify.verify");
-        match netexpl_logic::solver::equivalent_under(ctx, conj, simplified_raw, &options.budget) {
-            Ok(ok) => {
-                vspan.attr("equivalent", ok);
-                debug_assert!(ok, "simplifier produced a non-equivalent term");
-                if !ok {
-                    // A meaning-changing rewrite would be a simplifier bug:
-                    // flag the stage instead of shipping the claim.
-                    verdicts.simplify = Verdict::BestEffort;
-                }
-            }
-            Err(i) => {
-                // The artifact is still sound; only the double-check was cut
-                // short. Degrade the verdict so the reader knows.
-                verdicts.simplify = Verdict::BestEffort;
-                verdicts.interrupts.push(i);
-            }
-        }
     }
     let hole_vars = hole_var_set(ctx, &table);
     let projected = eliminate_dangling_defs(ctx, simplified_raw, &hole_vars);
@@ -829,40 +802,6 @@ mod tests {
             "lift ran SAT queries"
         );
         assert!(metrics.counter("lift.templates_enumerated") > 0);
-    }
-
-    #[test]
-    fn verify_simplify_confirms_equivalence() {
-        let (topo, h, net, spec) = scenario1_synthesized();
-        let vocab = Vocabulary::new(&topo, vec![], vec![100], net.prefixes());
-        let mut ctx = Ctx::new();
-        let sorts = vocab.sorts(&mut ctx);
-        let (guard, handle) = netexpl_obs::install_memory();
-        let expl = explain(
-            &mut ctx,
-            &topo,
-            &vocab,
-            sorts,
-            &net,
-            &spec,
-            h.r1,
-            &Selector::Session {
-                neighbor: h.p1,
-                dir: Dir::Export,
-            },
-            ExplainOptions {
-                verify_simplify: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        drop(guard);
-        assert!(expl.verdicts.all_verified(), "\n{expl}");
-        let vspan = handle.span_named("simplify.verify").expect("verify span");
-        assert_eq!(
-            vspan.attr("equivalent"),
-            Some(&netexpl_obs::AttrValue::Bool(true))
-        );
     }
 
     #[test]

@@ -1,18 +1,16 @@
 //! The worklist fixpoint over abstract route facts.
 //!
 //! A *fact* is keyed by `(holder, origination index, learned-from)` and
-//! carries an [`AbsRoute`] plus a concrete witness route. Facts propagate
-//! along topology edges exactly the way `netexpl_bgp::sim` advertises
-//! routes — export map, session advance, import map — except that the
-//! abstraction keeps *all* facts rather than one best route per prefix,
-//! applies split horizon only when it provably fires on every
-//! concretization, and ignores loop prevention entirely. Both deviations
-//! only add behaviors, which is the soundness direction the linter needs:
-//! if no abstract fact reaches a router, no concrete route can either.
+//! carries an [`AbsRoute`]. Facts propagate along topology edges exactly
+//! the way `netexpl_bgp::sim` advertises routes — export map, session
+//! advance, import map — except that the abstraction keeps *all* facts
+//! rather than one best route per prefix, applies split horizon only when
+//! it provably fires on every concretization, and ignores loop prevention
+//! entirely. Both deviations only add behaviors, which is the soundness
+//! direction the linter needs: if no abstract fact reaches a router, no
+//! concrete route can either.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use netexpl_bgp::{NetworkConfig, Route};
 use netexpl_core::symbolize::Dir;
@@ -29,22 +27,6 @@ pub type EntryKey = (RouterId, RouterId, Dir, usize);
 /// Key of an abstract fact: (holder, origination index, learned-from).
 /// Origination facts use the origin itself as the learned-from router.
 pub type FactKey = (RouterId, u32, RouterId);
-
-/// An abstract fact with its derivation breadcrumbs.
-#[derive(Debug, Clone)]
-pub struct Fact {
-    /// The abstract announcement.
-    pub abs: AbsRoute,
-    /// A concrete route known to be carried here (drives the SAT
-    /// pre-filter). Dropped when split horizon or loop prevention stops
-    /// the witness even though the abstraction keeps flowing.
-    pub witness: Option<Route>,
-    /// The fact this one was first derived from.
-    pub pred: Option<FactKey>,
-    /// Route-map entries that may have processed the route on the
-    /// deriving transfer (export side first, then import side).
-    pub applied: Vec<EntryKey>,
-}
 
 /// A provably-denied transfer: every concretization of some fact was
 /// dropped by this map while crossing `from → to`.
@@ -65,47 +47,11 @@ pub struct Denial {
     pub entry: Option<usize>,
 }
 
-/// Options for [`analyze`].
-#[derive(Debug, Clone, Default)]
-pub struct AnalyzeOptions {
-    /// Worker threads for transfer-function compilation (0 = auto).
-    pub workers: usize,
-    /// The synthesis vocabulary's prefixes. Witness-based SAT pre-filter
-    /// marks are only recorded for witnesses whose prefix the SAT
-    /// encoding can actually represent; `None` records all marks (no SAT
-    /// pass will consume them, or the caller knows every prefix is in
-    /// vocabulary).
-    pub vocab_prefixes: Option<Vec<Prefix>>,
-}
-
-/// The witness-derived query verdicts the SAT pass may skip the solver
-/// for. Only *positive* (satisfiable) verdicts are recorded: a witness
-/// proves a query SAT, never UNSAT, so skipping can never suppress a real
-/// NE010/NE011 diagnostic — it only skips queries that would have been
-/// clean anyway.
-#[derive(Debug, Clone, Default)]
-pub struct Prefilter {
-    sat: HashSet<EntryKey>,
-    reach: HashSet<EntryKey>,
-}
-
-impl Prefilter {
-    /// Is entry `k`'s match conjunction witnessed satisfiable (NE011)?
-    pub fn sat_witnessed(&self, k: &EntryKey) -> bool {
-        self.sat.contains(k)
-    }
-
-    /// Is entry `k` witnessed reachable past all earlier entries (NE010)?
-    pub fn reach_witnessed(&self, k: &EntryKey) -> bool {
-        self.reach.contains(k)
-    }
-}
-
 /// The converged analysis result.
 #[derive(Debug, Clone, Default)]
 pub struct Fixpoint {
     /// All facts, keyed by (holder, origination, learned-from).
-    pub facts: BTreeMap<FactKey, Fact>,
+    pub facts: BTreeMap<FactKey, AbsRoute>,
     /// Provably-denied transfers, deterministic order.
     pub denials: Vec<Denial>,
     /// Valley-free violations: the offending fact (at the exporting
@@ -115,10 +61,6 @@ pub struct Fixpoint {
     pub session_in: HashMap<(RouterId, RouterId, Dir), AbsRoute>,
     /// Entries some fact may reach and match.
     pub may_fire: HashSet<EntryKey>,
-    /// Entries whose match conjunction a witness satisfied (NE011 SAT).
-    pub witness_sat: HashSet<EntryKey>,
-    /// Entries a witness reached past all earlier entries (NE010 SAT).
-    pub witness_reach: HashSet<EntryKey>,
     /// Worklist rounds until convergence.
     pub iterations: usize,
     originations: Vec<(RouterId, Prefix)>,
@@ -163,9 +105,9 @@ impl Fixpoint {
             if let Some(f) = self.facts.get(&(router, o, via)) {
                 match &mut acc {
                     Some(a) => {
-                        a.join(&f.abs);
+                        a.join(f);
                     }
-                    None => acc = Some(f.abs.clone()),
+                    None => acc = Some(f.clone()),
                 }
             }
         }
@@ -188,45 +130,15 @@ impl Fixpoint {
                 && self
                     .facts
                     .get(&(holder, i as u32, from))
-                    .is_some_and(|f| f.abs.covers(route))
+                    .is_some_and(|f| f.covers(route))
         })
-    }
-
-    /// Walk the derivation of `key` back to its origination, collecting
-    /// the route-map entries that produced it, origin-first.
-    pub fn blame_chain(&self, key: FactKey) -> Vec<EntryKey> {
-        let mut out = Vec::new();
-        let mut cur = Some(key);
-        let mut guard = self.facts.len() + 1;
-        while let Some(k) = cur {
-            let Some(f) = self.facts.get(&k) else { break };
-            for &e in f.applied.iter().rev() {
-                out.push(e);
-            }
-            cur = f.pred;
-            guard -= 1;
-            if guard == 0 {
-                break;
-            }
-        }
-        out.reverse();
-        out.dedup();
-        out
-    }
-
-    /// The SAT pre-filter view of the witness marks.
-    pub fn prefilter(&self) -> Prefilter {
-        Prefilter {
-            sat: self.witness_sat.clone(),
-            reach: self.witness_reach.clone(),
-        }
     }
 }
 
 /// Run the dataflow analysis to its fixpoint.
-pub fn analyze(topo: &Topology, net: &NetworkConfig, opts: &AnalyzeOptions) -> Fixpoint {
+pub fn analyze(topo: &Topology, net: &NetworkConfig) -> Fixpoint {
     let span = Span::enter("dataflow.fixpoint");
-    let compiled = compile_all(topo, net, opts.workers);
+    let compiled = compile_all(net);
     let origs: Vec<(RouterId, Prefix)> = net
         .originations()
         .iter()
@@ -244,18 +156,10 @@ pub fn analyze(topo: &Topology, net: &NetworkConfig, opts: &AnalyzeOptions) -> F
 
     let mut queue: VecDeque<FactKey> = VecDeque::new();
     let mut queued: HashSet<FactKey> = HashSet::new();
-    for (i, &(r, p)) in origs.iter().enumerate() {
-        let asn = topo.router(r).as_num;
+    for (i, &(r, _)) in origs.iter().enumerate() {
         let key = (r, i as u32, r);
-        fx.facts.insert(
-            key,
-            Fact {
-                abs: AbsRoute::origination(r, asn),
-                witness: Some(Route::originate(p, r, asn)),
-                pred: None,
-                applied: Vec::new(),
-            },
-        );
+        fx.facts
+            .insert(key, AbsRoute::origination(r, topo.router(r).as_num));
         queue.push_back(key);
         queued.insert(key);
     }
@@ -271,7 +175,6 @@ pub fn analyze(topo: &Topology, net: &NetworkConfig, opts: &AnalyzeOptions) -> F
             step(
                 topo,
                 &compiled,
-                opts,
                 &origs,
                 &mut fx,
                 &mut denial_seen,
@@ -306,21 +209,10 @@ pub fn analyze(topo: &Topology, net: &NetworkConfig, opts: &AnalyzeOptions) -> F
     fx
 }
 
-/// Should witness marks be recorded for this witness? Only when the SAT
-/// encoding's route universe contains it — i.e. its prefix is in
-/// vocabulary (next hops always are; out-of-vocabulary community and
-/// AS atoms get unconstrained booleans, which any witness satisfies).
-fn mark_ok(opts: &AnalyzeOptions, w: &Route) -> bool {
-    opts.vocab_prefixes
-        .as_ref()
-        .is_none_or(|ps| ps.contains(&w.prefix))
-}
-
 #[allow(clippy::too_many_arguments)]
 fn step(
     topo: &Topology,
     compiled: &HashMap<(RouterId, RouterId, Dir), CompiledMap>,
-    opts: &AnalyzeOptions,
     origs: &[(RouterId, Prefix)],
     fx: &mut Fixpoint,
     denial_seen: &mut BTreeSet<(u32, RouterId, RouterId, bool, i64)>,
@@ -346,27 +238,18 @@ fn step(
         // Split horizon, abstractly: the simulation skips a neighbor iff
         // it is the route's next hop (for non-origin holders); we may
         // skip only when every concretization has that next hop.
-        if holder != orig_router && fact.abs.nh.len() == 1 && fact.abs.nh.contains(&v) {
+        if holder != orig_router && fact.nh.len() == 1 && fact.nh.contains(&v) {
             continue;
         }
         // Loop prevention, abstractly: `v` lies on *every* concretization's
         // propagation path, so the concrete receiver would drop each of
         // them as a loop — nothing real flows over this edge.
-        if fact.abs.routers_must.contains(&v) {
+        if fact.routers_must.contains(&v) {
             continue;
         }
 
-        let mut applied: Vec<EntryKey> = Vec::new();
-        // The witness obeys the *concrete* split-horizon and loop rules;
-        // where they diverge from the abstract ones, the witness is
-        // dropped (soundly — marks simply stop accumulating).
-        let mut witness = fact
-            .witness
-            .clone()
-            .filter(|w| (v != w.next_hop || orig_router == holder) && !w.would_loop(v));
-
         // Export side.
-        let mut abs = fact.abs.clone();
+        let mut abs = fact.clone();
         if let Some(cm) = compiled.get(&(holder, v, Dir::Export)) {
             fx.session_in
                 .entry((holder, v, Dir::Export))
@@ -380,31 +263,8 @@ fn step(
                     fx.may_fire.insert((holder, v, Dir::Export, i));
                 }
             }
-            if let Some(w) = witness.take() {
-                let we = cm.eval_witness(&w);
-                if mark_ok(opts, &w) {
-                    for (i, s) in we.sat.iter().enumerate() {
-                        if *s {
-                            fx.witness_sat.insert((holder, v, Dir::Export, i));
-                        }
-                    }
-                    for (i, r) in we.reach.iter().enumerate() {
-                        if *r {
-                            fx.witness_reach.insert((holder, v, Dir::Export, i));
-                        }
-                    }
-                }
-                witness = we.out;
-            }
             match ev.out {
-                Some(out) => {
-                    for (i, fired) in ev.fired.iter().enumerate() {
-                        if *fired {
-                            applied.push((holder, v, Dir::Export, i));
-                        }
-                    }
-                    abs = out;
-                }
+                Some(out) => abs = out,
                 None => {
                     denial_seen.insert((
                         orig_idx,
@@ -435,7 +295,6 @@ fn step(
             next_abs.via_noncustomer =
                 matches!(topo.relation(v, holder), Some(Role::Provider | Role::Peer));
         }
-        witness = witness.map(|w| w.advanced(topo, holder, v));
 
         // Import side.
         if let Some(cm) = compiled.get(&(v, holder, Dir::Import)) {
@@ -451,31 +310,8 @@ fn step(
                     fx.may_fire.insert((v, holder, Dir::Import, i));
                 }
             }
-            if let Some(w) = witness.take() {
-                let we = cm.eval_witness(&w);
-                if mark_ok(opts, &w) {
-                    for (i, s) in we.sat.iter().enumerate() {
-                        if *s {
-                            fx.witness_sat.insert((v, holder, Dir::Import, i));
-                        }
-                    }
-                    for (i, r) in we.reach.iter().enumerate() {
-                        if *r {
-                            fx.witness_reach.insert((v, holder, Dir::Import, i));
-                        }
-                    }
-                }
-                witness = we.out;
-            }
             match ev.out {
-                Some(out) => {
-                    for (i, fired) in ev.fired.iter().enumerate() {
-                        if *fired {
-                            applied.push((v, holder, Dir::Import, i));
-                        }
-                    }
-                    next_abs = out;
-                }
+                Some(out) => next_abs = out,
                 None => {
                     denial_seen.insert((
                         orig_idx,
@@ -492,24 +328,9 @@ fn step(
         // Join into the target fact.
         let tkey = (v, orig_idx, holder);
         let changed = match fx.facts.get_mut(&tkey) {
-            Some(f) => {
-                let mut c = f.abs.join(&next_abs);
-                if f.witness.is_none() && witness.is_some() {
-                    f.witness = witness;
-                    c = true;
-                }
-                c
-            }
+            Some(f) => f.join(&next_abs),
             None => {
-                fx.facts.insert(
-                    tkey,
-                    Fact {
-                        abs: next_abs,
-                        witness,
-                        pred: Some(key),
-                        applied,
-                    },
-                );
+                fx.facts.insert(tkey, next_abs);
                 true
             }
         };
@@ -519,78 +340,27 @@ fn step(
     }
 }
 
-fn effective_workers(requested: usize, units: usize) -> usize {
-    let auto = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1);
-    let w = if requested == 0 { auto } else { requested };
-    w.clamp(1, units.max(1))
-}
-
-/// Compile every configured route map into an abstract transformer,
-/// fanning per-router work over a small thread pool (the same
-/// work-stealing-index pattern the explain-all worker pool uses).
-fn compile_all(
-    topo: &Topology,
-    net: &NetworkConfig,
-    workers: usize,
-) -> HashMap<(RouterId, RouterId, Dir), CompiledMap> {
+/// Compile every configured route map into an abstract transformer.
+fn compile_all(net: &NetworkConfig) -> HashMap<(RouterId, RouterId, Dir), CompiledMap> {
     let span = Span::enter("dataflow.compile");
-    let routers: Vec<RouterId> = net.configured_routers().collect();
-    let n = routers.len();
-    let w = effective_workers(workers, n);
-    span.attr("routers", n as u64);
-    span.attr("workers", w as u64);
-    let _ = topo;
+    span.attr("routers", net.configured_routers().count() as u64);
     let mut out = HashMap::new();
-    if w <= 1 {
-        for &r in &routers {
-            let mut local = Vec::new();
-            compile_router(net, r, &mut local);
-            out.extend(local);
+    for r in net.configured_routers() {
+        let Some(cfg) = net.router(r) else { continue };
+        for (nbr, map) in cfg.imports() {
+            out.insert((r, nbr, Dir::Import), CompiledMap::compile(map));
         }
-        return out;
-    }
-    type Slot = Mutex<Vec<((RouterId, RouterId, Dir), CompiledMap)>>;
-    let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..w {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let mut local = Vec::new();
-                compile_router(net, routers[i], &mut local);
-                *slots[i].lock().unwrap() = local;
-            });
+        for (nbr, map) in cfg.exports() {
+            out.insert((r, nbr, Dir::Export), CompiledMap::compile(map));
         }
-    });
-    for slot in slots {
-        out.extend(slot.into_inner().unwrap());
     }
     out
-}
-
-fn compile_router(
-    net: &NetworkConfig,
-    r: RouterId,
-    out: &mut Vec<((RouterId, RouterId, Dir), CompiledMap)>,
-) {
-    let Some(cfg) = net.router(r) else { return };
-    for (nbr, map) in cfg.imports() {
-        out.push(((r, nbr, Dir::Import), CompiledMap::compile(map)));
-    }
-    for (nbr, map) in cfg.exports() {
-        out.push(((r, nbr, Dir::Export), CompiledMap::compile(map)));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netexpl_bgp::{Action, Community, MatchClause, RouteMap, RouteMapEntry, SetClause};
+    use netexpl_bgp::{Action, Community, RouteMap, RouteMapEntry, SetClause};
     use netexpl_topology::AsNum;
 
     fn pfx(s: &str) -> Prefix {
@@ -625,15 +395,10 @@ mod tests {
                 }],
             ),
         );
-        let fx = analyze(&topo, &net, &AnalyzeOptions::default());
+        let fx = analyze(&topo, &net);
         // The fact at B (learned from A) must carry the tag.
         let f = fx.facts.get(&(b, 0, a)).expect("fact reaches B");
-        assert!(f.abs.comms_must.contains(&Community(1, 1)));
-        assert!(f.witness.is_some());
-        assert_eq!(f.pred, Some((a, 0, p)));
-        assert_eq!(f.applied, vec![]);
-        // Blame walks back through the tagging entry.
-        assert_eq!(fx.blame_chain((b, 0, a)), vec![(a, p, Dir::Import, 0)]);
+        assert!(f.comms_must.contains(&Community(1, 1)));
         // Every simulated route is covered.
         let sim = netexpl_bgp::sim::stabilize(&topo, &net).expect("converges");
         for r in topo.router_ids() {
@@ -648,7 +413,7 @@ mod tests {
         let (topo, p, a, _) = chain();
         let mut net = NetworkConfig::new();
         net.originate(p, pfx("10.0.0.0/8"));
-        let fx = analyze(&topo, &net, &AnalyzeOptions::default());
+        let fx = analyze(&topo, &net);
         // A learned the route from P with next hop P on every
         // concretization — it must not flow back to P.
         assert!(fx.facts.contains_key(&(a, 0, p)));
@@ -675,55 +440,11 @@ mod tests {
                 }],
             ),
         );
-        let fx = analyze(&topo, &net, &AnalyzeOptions::default());
+        let fx = analyze(&topo, &net);
         assert!(!fx.reaches_prefix(b, &pfx("10.0.0.0/8")));
         assert_eq!(fx.denials.len(), 1);
         let d = &fx.denials[0];
         assert_eq!((d.from, d.to, d.dir, d.entry), (a, b, Dir::Import, Some(0)));
-    }
-
-    #[test]
-    fn witness_marks_feed_the_prefilter() {
-        let (topo, p, a, _) = chain();
-        let mut net = NetworkConfig::new();
-        net.originate(p, pfx("10.0.0.0/8"));
-        net.router_mut(a).set_import(
-            p,
-            RouteMap::new(
-                "m",
-                vec![
-                    RouteMapEntry {
-                        seq: 10,
-                        action: Action::Deny,
-                        matches: vec![MatchClause::Community(Community(9, 9))],
-                        sets: vec![],
-                    },
-                    RouteMapEntry {
-                        seq: 20,
-                        action: Action::Permit,
-                        matches: vec![],
-                        sets: vec![],
-                    },
-                ],
-            ),
-        );
-        let fx = analyze(&topo, &net, &AnalyzeOptions::default());
-        let pf = fx.prefilter();
-        // The untagged witness falls past the community deny to entry 1.
-        assert!(pf.sat_witnessed(&(a, p, Dir::Import, 1)));
-        assert!(pf.reach_witnessed(&(a, p, Dir::Import, 1)));
-        assert!(!pf.sat_witnessed(&(a, p, Dir::Import, 0)));
-        // Vocabulary gating: an out-of-vocabulary prefix records nothing.
-        let gated = analyze(
-            &topo,
-            &net,
-            &AnalyzeOptions {
-                workers: 1,
-                vocab_prefixes: Some(vec![pfx("99.0.0.0/8")]),
-            },
-        );
-        assert!(gated.witness_sat.is_empty());
-        assert!(!gated.facts.is_empty(), "facts still flow");
     }
 
     #[test]
@@ -737,11 +458,11 @@ mod tests {
         t.add_link(a, p2);
         let mut net = NetworkConfig::new();
         net.originate(p1, pfx("10.0.0.0/8"));
-        let fx = analyze(&t, &net, &AnalyzeOptions::default());
+        let fx = analyze(&t, &net);
         assert!(fx.valley.is_empty(), "unannotated topology stays silent");
         t.annotate_provider(p1, a);
         t.annotate_provider(p2, a);
-        let fx = analyze(&t, &net, &AnalyzeOptions::default());
+        let fx = analyze(&t, &net);
         assert_eq!(fx.valley, vec![((a, 0, p1), p2)]);
     }
 }

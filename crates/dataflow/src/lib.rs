@@ -15,23 +15,19 @@
 //! functions* derived from the route maps; the lattice is finite and all
 //! transformers are monotone, so the fixpoint terminates.
 //!
-//! Three products come out of the fixpoint, all consumed by
-//! `netexpl-lint`'s network pass:
-//!
-//! * **Coverage**: every route admitted by the concrete simulation is
-//!   covered by some abstract fact (`Fixpoint::covers`), so "no abstract
-//!   fact reaches router R" proves a black-hole.
-//! * **Blame**: each fact records the predecessor fact and the route-map
-//!   entries that produced it, so diagnostics can walk the derivation
-//!   back to concrete config spans.
-//! * **A SAT pre-filter**: alongside each abstract fact a *concrete
-//!   witness* route is co-propagated; when the witness satisfies an
-//!   NE010/NE011 query the solver call is skipped entirely.
+//! Everything the fixpoint records is read by `netexpl-lint`'s network
+//! pass: the abstract facts, the provably-denied transfers, the
+//! valley-free violations, the join of what reaches each configured map,
+//! and the entries some fact may reach and match. The facts carry the
+//! soundness contract: every route admitted by the concrete simulation is
+//! covered by some abstract fact (`Fixpoint::covers`), so "no abstract
+//! fact reaches router R" proves a black-hole. The analysis runs on the
+//! calling thread.
 
 pub mod domain;
 pub mod fixpoint;
 pub mod transfer;
 
 pub use domain::AbsRoute;
-pub use fixpoint::{analyze, AnalyzeOptions, Denial, EntryKey, Fact, FactKey, Fixpoint, Prefilter};
+pub use fixpoint::{analyze, Denial, EntryKey, FactKey, Fixpoint};
 pub use transfer::MatchStatus;

@@ -1,10 +1,9 @@
 //! Compiled transfer functions: route maps as abstract transformers.
 //!
 //! Each route map is compiled once (clauses pre-partitioned by kind) and
-//! then evaluated many times during the fixpoint — abstractly against an
-//! [`AbsRoute`], and concretely against the co-propagated witness route.
+//! then evaluated against an [`AbsRoute`] many times during the fixpoint.
 
-use netexpl_bgp::{Action, Community, MatchClause, Route, RouteMap, SetClause};
+use netexpl_bgp::{Action, Community, MatchClause, RouteMap, SetClause};
 use netexpl_topology::{AsNum, Prefix, RouterId};
 
 use crate::domain::AbsRoute;
@@ -85,14 +84,11 @@ impl CompiledEntry {
     }
 }
 
-/// A compiled route map: the abstract transformer plus the original map
-/// retained for concrete witness evaluation.
+/// A compiled route map: the abstract transformer.
 #[derive(Debug, Clone)]
 pub struct CompiledMap {
     /// Compiled entries, in first-match-wins order.
     pub entries: Vec<CompiledEntry>,
-    /// The source map (witness evaluation and diagnostics).
-    pub raw: RouteMap,
 }
 
 impl CompiledMap {
@@ -121,10 +117,7 @@ impl CompiledMap {
                 ce
             })
             .collect();
-        CompiledMap {
-            entries,
-            raw: map.clone(),
-        }
+        CompiledMap { entries }
     }
 
     /// Abstract application (the lift of [`RouteMap::apply`]).
@@ -177,28 +170,6 @@ impl CompiledMap {
             deny_entry,
         }
     }
-
-    /// Concrete witness evaluation with per-entry satisfiability marks.
-    pub fn eval_witness(&self, w: &Route) -> WitnessEval {
-        let n = self.raw.entries.len();
-        let mut sat = vec![false; n];
-        let mut reach = vec![false; n];
-        let mut uncaught = true;
-        for (i, e) in self.raw.entries.iter().enumerate() {
-            if e.matches(w) {
-                sat[i] = true;
-                if uncaught {
-                    reach[i] = true;
-                    uncaught = false;
-                }
-            }
-        }
-        WitnessEval {
-            sat,
-            reach,
-            out: self.raw.apply(w),
-        }
-    }
 }
 
 /// Result of abstractly applying a map to one fact.
@@ -214,25 +185,11 @@ pub struct MapEval {
     pub deny_entry: Option<usize>,
 }
 
-/// Result of concretely applying a map to a witness route.
-#[derive(Debug, Clone)]
-pub struct WitnessEval {
-    /// Per entry: does the witness match the entry's clause conjunction?
-    /// (Witnesses NE011's satisfiability query.)
-    pub sat: Vec<bool>,
-    /// Per entry: does the witness match it *first* — no earlier entry
-    /// caught it? (Witnesses NE010's reachability query.)
-    pub reach: Vec<bool>,
-    /// The rewritten witness, or `None` when the map denies it.
-    pub out: Option<Route>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use netexpl_bgp::RouteMapEntry;
     use netexpl_topology::AsNum;
-    use std::collections::BTreeSet;
 
     fn pfx(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -320,32 +277,5 @@ mod tests {
         let out = m.eval(&pfx("10.0.0.0/8"), &input);
         assert!(out.out.is_none(), "must-deny stops the fall-through");
         assert_eq!(out.fired, vec![true, false]);
-    }
-
-    #[test]
-    fn witness_marks_follow_first_match_wins() {
-        let mut w = Route::originate(pfx("10.0.0.0/8"), RouterId(0), AsNum(500));
-        w.communities = BTreeSet::from([Community(1, 1)]);
-        let m = CompiledMap::compile(&RouteMap::new(
-            "m",
-            vec![
-                RouteMapEntry {
-                    seq: 10,
-                    action: Action::Permit,
-                    matches: vec![MatchClause::Community(Community(1, 1))],
-                    sets: vec![],
-                },
-                RouteMapEntry {
-                    seq: 20,
-                    action: Action::Permit,
-                    matches: vec![],
-                    sets: vec![],
-                },
-            ],
-        ));
-        let we = m.eval_witness(&w);
-        assert_eq!(we.sat, vec![true, true], "both entries individually match");
-        assert_eq!(we.reach, vec![true, false], "only the first is reached");
-        assert!(we.out.is_some());
     }
 }

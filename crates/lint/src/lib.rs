@@ -43,7 +43,7 @@ pub use suppress::Suppressions;
 
 use netexpl_bgp::NetworkConfig;
 use netexpl_core::symbolize::Selector;
-use netexpl_dataflow::{analyze, AnalyzeOptions};
+use netexpl_dataflow::analyze;
 use netexpl_spec::Specification;
 use netexpl_synth::vocab::Vocabulary;
 use netexpl_topology::{RouterId, Topology};
@@ -70,41 +70,30 @@ pub fn lint_config(
     let spans = SpanIndex::build(topo, config);
     let (mut diags, dead) = config_pass::run(topo, config, &spans);
     if let Some(vocab) = vocab {
-        diags.extend(sat_pass::run(topo, vocab, config, &spans, &dead, None));
+        diags.extend(sat_pass::run(topo, vocab, config, &spans, &dead));
     }
     diags.sort();
     diags
 }
 
 /// Network-wide lint: the per-map passes plus the abstract-interpretation
-/// dataflow checks (NE013–NE019), with the fixpoint's concrete witnesses
-/// pre-filtering the SAT pass. `workers` bounds the per-router
-/// transfer-function compilation fan-out (0 = auto).
+/// dataflow checks (NE013–NE019), all on the calling thread.
+///
+/// The last argument (`workers`) is ignored: nothing here fans out. Kept so
+/// existing callers that pass it still compile.
 pub fn lint_network(
     topo: &Topology,
     spec: &Specification,
     config: &NetworkConfig,
     vocab: Option<&Vocabulary>,
-    workers: usize,
+    _workers: usize,
 ) -> Diagnostics {
     let spans = SpanIndex::build(topo, config);
     let (mut diags, dead) = config_pass::run(topo, config, &spans);
-    let opts = AnalyzeOptions {
-        workers,
-        vocab_prefixes: vocab.map(|v| v.prefixes.clone()),
-    };
-    let fx = analyze(topo, config, &opts);
+    let fx = analyze(topo, config);
     diags.extend(network_pass::run(topo, config, spec, &fx, &spans, &dead));
     if let Some(vocab) = vocab {
-        let prefilter = fx.prefilter();
-        diags.extend(sat_pass::run(
-            topo,
-            vocab,
-            config,
-            &spans,
-            &dead,
-            Some(&prefilter),
-        ));
+        diags.extend(sat_pass::run(topo, vocab, config, &spans, &dead));
     }
     diags.sort();
     diags

@@ -25,7 +25,6 @@ use std::collections::{BTreeMap, HashSet};
 
 use netexpl_bgp::{MatchClause, NetworkConfig, RouteMap};
 use netexpl_core::symbolize::Dir;
-use netexpl_dataflow::Prefilter;
 use netexpl_logic::session::SmtSession;
 use netexpl_logic::term::{Ctx, TermId};
 use netexpl_logic::SmtResult;
@@ -38,18 +37,14 @@ use crate::spans::SpanIndex;
 
 /// Run the SAT pass over every session map. `skip` holds entries already
 /// reported dead structurally — re-reporting them semantically would be
-/// noise. `prefilter`, when present, carries concrete witnesses from the
-/// abstract-interpretation fixpoint: a witnessed query is already known
-/// satisfiable (hence cannot produce a diagnostic) and skips the solver
-/// entirely. The `lint.sat.filtered` / `lint.sat.solved` counters report
-/// how many solver probes the prefilter eliminated.
+/// noise. The `lint.sat.solved` counter reports how many solver probes
+/// the pass made.
 pub fn run(
     topo: &Topology,
     vocab: &Vocabulary,
     net: &NetworkConfig,
     spans: &SpanIndex,
     skip: &HashSet<EntryKey>,
-    prefilter: Option<&Prefilter>,
 ) -> Diagnostics {
     let span = netexpl_obs::Span::enter("lint.sat");
     let mut ctx = Ctx::new();
@@ -62,7 +57,7 @@ pub fn run(
     session.assert(&mut ctx, &[route.domain]);
     let mut diags = Diagnostics::new();
     let mut maps = 0usize;
-    let mut stats = ProbeStats::default();
+    let mut solved = 0u64;
     for (r, n, dir, map) in sessions(net) {
         maps += 1;
         lint_map(
@@ -77,27 +72,17 @@ pub fn run(
             map,
             spans,
             skip,
-            prefilter,
-            &mut stats,
+            &mut solved,
             &mut diags,
         );
     }
-    netexpl_obs::counter_add("lint.sat.filtered", stats.filtered);
-    netexpl_obs::counter_add("lint.sat.solved", stats.solved);
+    netexpl_obs::counter_add("lint.sat.solved", solved);
     if span.is_recording() {
         span.attr("maps", maps);
         span.attr("diagnostics", diags.len());
-        span.attr("filtered", stats.filtered);
-        span.attr("solved", stats.solved);
+        span.attr("solved", solved);
     }
     diags
-}
-
-/// Solver probes answered by the prefilter vs. actually solved.
-#[derive(Debug, Default)]
-struct ProbeStats {
-    filtered: u64,
-    solved: u64,
 }
 
 /// The symbolic route state every map of a network is linted against.
@@ -213,8 +198,7 @@ fn lint_map(
     map: &RouteMap,
     spans: &SpanIndex,
     skip: &HashSet<EntryKey>,
-    prefilter: Option<&Prefilter>,
-    stats: &mut ProbeStats,
+    solved: &mut u64,
     diags: &mut Diagnostics,
 ) {
     // m_i for every entry, in evaluation order.
@@ -233,24 +217,13 @@ fn lint_map(
 
     for (i, &m_i) in match_terms.iter().enumerate() {
         let e = &map.entries[i];
-        let key = (r, n, dir, i);
         // Diagnose only on an explicit Unsat verdict: an `Unknown` from a
         // budgeted/faulted solver must not masquerade as a refutation.
-        // A concrete fixpoint witness that *matched* this entry proves the
-        // conjunction satisfiable without any solver call.
-        let witnessed_sat = prefilter.is_some_and(|p| p.sat_witnessed(&key));
-        if witnessed_sat {
-            stats.filtered += 1;
-        } else {
-            stats.solved += 1;
-        }
-        let contradictory = !witnessed_sat && {
-            // Attribute the query to the diagnostic probing it, so
-            // `netexpl profile` can rank lint probes by solver cost.
-            session.set_origin(format!("NE011:{}:{}", map.name, e.seq));
-            matches!(session.check_assuming(ctx, &[m_i]).0, SmtResult::Unsat)
-        };
-        if contradictory {
+        // Attribute the query to the diagnostic probing it, so `netexpl
+        // profile` can rank lint probes by solver cost.
+        *solved += 1;
+        session.set_origin(format!("NE011:{}:{}", map.name, e.seq));
+        if matches!(session.check_assuming(ctx, &[m_i]).0, SmtResult::Unsat) {
             diags.push(
                 Diagnostic::new(
                     Code::ContradictoryMatch,
@@ -264,16 +237,10 @@ fn lint_map(
             );
             continue;
         }
-        if i == 0 || skip.contains(&key) {
+        if i == 0 || skip.contains(&(r, n, dir, i)) {
             continue;
         }
-        // A witness for which this entry was the *first* match proves the
-        // entry reachable: the unreachability query is SAT, skip it.
-        if prefilter.is_some_and(|p| p.reach_witnessed(&key)) {
-            stats.filtered += 1;
-            continue;
-        }
-        stats.solved += 1;
+        *solved += 1;
         session.set_origin(format!("NE010:{}:{}", map.name, e.seq));
         let mut assumptions = vec![m_i];
         for &m_j in &match_terms[..i] {
@@ -321,7 +288,7 @@ mod tests {
 
     fn lint(topo: &Topology, vocab: &Vocabulary, net: &NetworkConfig) -> Diagnostics {
         let spans = SpanIndex::build(topo, net);
-        run(topo, vocab, net, &spans, &HashSet::new(), None)
+        run(topo, vocab, net, &spans, &HashSet::new())
     }
 
     /// The separating example: `10.0.0.0/8` then `10.1.0.0/16`. No clause
@@ -555,10 +522,10 @@ mod tests {
         let (structural, dead) = crate::config_pass::run(&topo, &net, &spans);
         assert_eq!(structural.with_code(Code::ShadowedEntry).len(), 1);
         // With the structural skip set the SAT pass stays silent…
-        let ds = run(&topo, &vocab, &net, &spans, &dead, None);
+        let ds = run(&topo, &vocab, &net, &spans, &dead);
         assert!(ds.with_code(Code::UnreachableEntry).is_empty(), "{ds}");
         // …without it, it reports the same entry semantically.
-        let ds = run(&topo, &vocab, &net, &spans, &HashSet::new(), None);
+        let ds = run(&topo, &vocab, &net, &spans, &HashSet::new());
         assert_eq!(ds.with_code(Code::UnreachableEntry).len(), 1, "{ds}");
     }
 }

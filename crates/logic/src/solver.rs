@@ -5,8 +5,8 @@
 //! every query runs under assumptions. A single check is a session with one
 //! query. This module holds what those queries share: the [`SmtResult`]
 //! they return, model decoding, SAT statistics, the blocking tail of model
-//! enumeration, and the small satisfiability, entailment and equivalence
-//! helpers built on a fresh session.
+//! enumeration, and the small satisfiability and entailment helpers built
+//! on a fresh session.
 
 use crate::bitblast::BitBlaster;
 use crate::budget::{Budget, Interrupt};
@@ -167,34 +167,19 @@ pub fn entails_under(
     session.entails(ctx, b)
 }
 
-/// Budgeted equivalence: are `a` and `b` logically equivalent, if decidable
-/// within `budget`?
-///
-/// Encodes `a` and `b` once into a single [`crate::session::SmtSession`]
-/// and decides both entailment directions as assumption queries over the
-/// shared CNF.
-pub fn equivalent_under(
-    ctx: &mut Ctx,
-    a: TermId,
-    b: TermId,
-    budget: &Budget,
-) -> Result<bool, Interrupt> {
-    let mut session = crate::session::SmtSession::new();
-    session.set_budget(budget.clone());
-    // a ⊨ b ⇔ a ∧ ¬b unsat; the second query reuses every gate clause (and
-    // any learned clauses) from the first.
-    if !session.entails_assuming(ctx, &[a], b)? {
-        return Ok(false);
-    }
-    session.entails_assuming(ctx, &[b], a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::budget::InterruptReason;
     use crate::model::brute_force_equivalent;
     use crate::simplify::Simplifier;
+
+    /// Equivalence as entailment in both directions.
+    fn equivalent(ctx: &mut Ctx, a: TermId, b: TermId) -> bool {
+        let unlimited = Budget::unlimited();
+        entails_under(ctx, a, b, &unlimited) == Ok(true)
+            && entails_under(ctx, b, a, &unlimited) == Ok(true)
+    }
 
     #[test]
     fn mixed_sort_model() {
@@ -275,13 +260,12 @@ mod tests {
         let na = ctx.not(a);
         let nb = ctx.not(b);
         let rhs = ctx.or2(na, nb);
-        let unlimited = Budget::unlimited();
-        assert_eq!(equivalent_under(&mut ctx, lhs, rhs, &unlimited), Ok(true));
+        assert!(equivalent(&mut ctx, lhs, rhs));
         assert_eq!(
-            Ok(brute_force_equivalent(&ctx, lhs, rhs, 100)),
-            equivalent_under(&mut ctx, lhs, rhs, &unlimited)
+            brute_force_equivalent(&ctx, lhs, rhs, 100),
+            equivalent(&mut ctx, lhs, rhs)
         );
-        assert_eq!(equivalent_under(&mut ctx, a, b, &unlimited), Ok(false));
+        assert!(!equivalent(&mut ctx, a, b));
     }
 
     #[test]
@@ -301,10 +285,7 @@ mod tests {
         let noise = ctx.and(&[e1, t, e1]);
         let f = ctx.or2(noise, ne2);
         let g = Simplifier::default().simplify(&mut ctx, f);
-        assert_eq!(
-            equivalent_under(&mut ctx, f, g, &Budget::unlimited()),
-            Ok(true)
-        );
+        assert!(equivalent(&mut ctx, f, g));
         assert!(ctx.term_size(g) <= ctx.term_size(f));
     }
 

@@ -173,11 +173,7 @@ impl Engine {
                     .inspect_err(|e| self.retire_if_suspect(topology, spec, e))?;
                 Ok(Handled { result, warm })
             }
-            Op::Lint {
-                topology,
-                spec,
-                workers,
-            } => {
+            Op::Lint { topology, spec, .. } => {
                 let budget = self.request_budget(timeout_ms);
                 let (session, warm) = self.session(topology, spec, &budget)?;
                 let diags = lint_network(
@@ -185,7 +181,7 @@ impl Engine {
                     &session.problem.spec,
                     &session.config,
                     Some(&session.problem.vocab),
-                    *workers,
+                    0,
                 );
                 let (errors, warnings, notes) = diags.counts();
                 let findings: Vec<Value> = diags

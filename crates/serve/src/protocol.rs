@@ -100,6 +100,8 @@ pub enum Op {
     Lint {
         topology: String,
         spec: String,
+        /// Ignored: lint runs on the connection thread. Kept so existing
+        /// callers that set it still compile.
         workers: usize,
     },
     /// Arm a fault site for `shots` future triggers (test/CI hook).

@@ -18,8 +18,6 @@ use crate::vocab::Vocabulary;
 pub struct SynthOptions {
     /// Encoding options.
     pub encode: EncodeOptions,
-    /// Skip the concrete-simulation validation step (benchmarks only).
-    pub skip_validation: bool,
     /// Resource bounds for the constraint solve. Unlimited by default;
     /// exhaustion surfaces as [`SynthError::Interrupted`], never as a
     /// spurious `Unsat`.
@@ -145,11 +143,9 @@ pub fn synthesize(
     };
     let config = sketch.concretize(ctx, vocab, &sorts, &model);
 
-    if !options.skip_validation {
-        let violations = check_specification(topo, &config, spec);
-        if !violations.is_empty() {
-            return Err(SynthError::ValidationFailed(violations));
-        }
+    let violations = check_specification(topo, &config, spec);
+    if !violations.is_empty() {
+        return Err(SynthError::ValidationFailed(violations));
     }
     Ok(SynthResult { config, stats })
 }
@@ -191,11 +187,9 @@ pub fn synthesize_diverse(
     let mut configs = Vec::with_capacity(models.len());
     for model in &models {
         let config = sketch.concretize(ctx, vocab, &sorts, model);
-        if !options.skip_validation {
-            let violations = check_specification(topo, &config, spec);
-            if !violations.is_empty() {
-                return Err(SynthError::ValidationFailed(violations));
-            }
+        let violations = check_specification(topo, &config, spec);
+        if !violations.is_empty() {
+            return Err(SynthError::ValidationFailed(violations));
         }
         configs.push(config);
     }

@@ -188,7 +188,9 @@ model_filtered="$(grep -o '"lift.model_filtered": *[0-9]*' "$OBS_DIR/s2-metrics.
 echo "==> diff smoke: one-clause cosmetic edit recomputes one router"
 # Synthesize the paper configuration, renumber one route-map clause (a
 # cosmetic edit dirtying exactly its owner), and check the delta run
-# reuses the rest and beats the from-scratch wall.
+# reuses the rest: one router recomputed, and fewer session crossings
+# re-encoded than replayed from the prior cache. Work counts, not walls:
+# one single-shot wall clock against another is at the mercy of the box.
 ./target/release/netexpl synth --topology paper --spec "$OBS_DIR/spec.txt" \
     | tail -n +3 > "$OBS_DIR/old.conf"
 awk '!done && /^route-map / { sub(/[0-9]+$/, $NF + 1); done = 1 } { print }' \
@@ -199,15 +201,15 @@ awk '!done && /^route-map / { sub(/[0-9]+$/, $NF + 1); done = 1 } { print }' \
     "$OBS_DIR/old.conf" "$OBS_DIR/new.conf" --json > "$OBS_DIR/diff.json"
 grep -q '"reason": "local edit"' "$OBS_DIR/diff.json"
 awk '
-  /"delta_ms":/    { v = $2; gsub(/[,"]/, "", v); delta = v + 0; seen++ }
-  /"full_ms":/     { v = $2; gsub(/[,"]/, "", v); full = v + 0; seen++ }
-  /"recomputed":/  { v = $2; gsub(/[,"]/, "", v); rec = v + 0; seen++ }
-  /"reused":/      { v = $2; gsub(/[,"]/, "", v); reused = v + 0; seen++ }
+  /"crossings_recomputed":/ { v = $2; gsub(/[,"]/, "", v); xrec = v + 0; seen++ }
+  /"crossings_reused":/     { v = $2; gsub(/[,"]/, "", v); xreused = v + 0; seen++ }
+  /"recomputed":/           { v = $2; gsub(/[,"]/, "", v); rec = v + 0; seen++ }
+  /"reused":/               { v = $2; gsub(/[,"]/, "", v); reused = v + 0; seen++ }
   END {
-    if (seen != 4) { print "diff --json missing delta/full/reused/recomputed"; exit 1 }
+    if (seen != 4) { print "diff --json missing crossings_recomputed/crossings_reused/recomputed/reused"; exit 1 }
     if (rec != 1) { printf "cosmetic edit recomputed %d routers, want 1\n", rec; exit 1 }
     if (reused < 1) { print "cosmetic edit reused nothing"; exit 1 }
-    if (delta >= full) { printf "delta (%.1fms) not faster than full (%.1fms)\n", delta, full; exit 1 }
+    if (xrec >= xreused) { printf "cosmetic edit re-encoded %d crossings, reused only %d\n", xrec, xreused; exit 1 }
   }
 ' "$OBS_DIR/diff.json"
 
@@ -271,8 +273,8 @@ done
 ADDR="$(sed -n 's/^listening on //p' "$OBS_DIR/serve.log" | head -1)"
 [ -n "$ADDR" ] || { echo "serve printed no listening line"; cat "$OBS_DIR/serve.log"; exit 1; }
 # Cold request, then the identical one warm, with the pool hit visible in
-# the server's own metrics. In a release build the warm path must also be
-# the faster one.
+# the server's own metrics: one hit, and the cold request's one miss is the
+# only build.
 ./target/release/netexpl request --addr "$ADDR" --op explain --topology paper \
     --spec "$OBS_DIR/spec.txt" --skip-lift > "$OBS_DIR/serve-cold.json"
 grep -q '"warm": false' "$OBS_DIR/serve-cold.json"
@@ -281,13 +283,8 @@ grep -q '"warm": false' "$OBS_DIR/serve-cold.json"
 grep -q '"warm": true' "$OBS_DIR/serve-warm.json"
 ./target/release/netexpl request --addr "$ADDR" --op stats > "$OBS_DIR/serve-stats.json"
 grep -q '"serve.pool.hits": 1' "$OBS_DIR/serve-stats.json"
-awk '
-  /"duration_ms":/ { v = $2; gsub(/,/, "", v); ms[++n] = v + 0 }
-  END {
-    if (n != 2) { print "expected two serve timings, got " n; exit 1 }
-    if (ms[2] >= ms[1]) { printf "warm (%sms) not faster than cold (%sms)\n", ms[2], ms[1]; exit 1 }
-  }
-' "$OBS_DIR/serve-cold.json" "$OBS_DIR/serve-warm.json"
+grep -q '"serve.pool.misses": 1' "$OBS_DIR/serve-stats.json" \
+  || { echo "warm request built a session"; cat "$OBS_DIR/serve-stats.json"; exit 1; }
 # Only the four serve.* sites are armable through the server; a pipeline
 # site is rejected (NX802) and arms nothing.
 status=0
@@ -378,7 +375,8 @@ echo "==> lint encodes its route domain once per network"
 # under `lint.sat`), not once per route map. Deterministic, like the gate
 # above.
 ./target/release/netexpl lint --topology ring:6 --spec "$OBS_DIR/ring-b.txt" --network \
-    --trace=json > /dev/null 2> "$OBS_DIR/lint-trace.jsonl"
+    --trace=json --metrics-out "$OBS_DIR/lint-metrics.json" \
+    > /dev/null 2> "$OBS_DIR/lint-trace.jsonl"
 sat_id="$(grep '"name":"lint.sat"' "$OBS_DIR/lint-trace.jsonl" \
     | grep -o '"id":[0-9]*' | grep -o '[0-9]*$' | head -1 || true)"
 [ -n "$sat_id" ] || { echo "no lint.sat span in the trace"; exit 1; }
@@ -387,6 +385,17 @@ asserts="$(grep '"name":"session.assert"' "$OBS_DIR/lint-trace.jsonl" \
 echo "ring:6 lint: $asserts session.assert span(s) under lint.sat (want 1)"
 [ "$asserts" -eq 1 ] \
   || { echo "lint asserted its domain $asserts times, not once per network"; exit 1; }
+# The same run pins lint's work: the fixpoint's facts and rounds, and one
+# solver probe per NE010/NE011 question (every probe reaches the session).
+for pin in dataflow.facts=7 dataflow.iterations=5 lint.sat.solved=32; do
+  name="${pin%=*}"
+  want="${pin#*=}"
+  got="$(grep -o "\"$name\": *[0-9]*" "$OBS_DIR/lint-metrics.json" \
+      | grep -o '[0-9]*$' || true)"
+  [ "$got" = "$want" ] \
+    || { echo "ring:6 lint: $name is ${got:-missing}, want $want"; exit 1; }
+done
+echo "ring:6 lint: dataflow and SAT counters as pinned"
 
 echo "==> search pin: ring:6 explain --all makes the same decisions"
 # The SAT search is deterministic: each decision branches on the most

@@ -1,7 +1,8 @@
 //! Randomized scenario generators for the property suites: connected
-//! topologies of 3–12 routers, specifications whose forbidden paths and
-//! preference chains range over *valid simple paths* of the generated
-//! topology, configurations with something to symbolize, and selectors.
+//! topologies of a caller-chosen size, specifications whose forbidden
+//! paths and preference chains range over *valid simple paths* of the
+//! generated topology, configurations with something to symbolize, and
+//! selectors.
 //!
 //! Everything is a proptest [`Strategy`], so scenarios shrink-free sample
 //! deterministically per test case. Shapes are repaired rather than
@@ -38,18 +39,12 @@ impl Scenario {
     }
 }
 
-/// A connected topology of 3–12 routers: 1–10 internal routers (AS 100)
-/// linked in a chain (connectivity by construction) plus sparse random
-/// extra links, with external providers `Pa`/`Pb` attached at either end.
-/// Sizes skew small so downstream path enumeration stays tractable.
-pub fn arb_topology() -> impl Strategy<Value = Topology> {
-    sized_topology(prop_oneof![4 => 1usize..4, 2 => 4usize..7, 1 => 7usize..11])
-}
-
-/// [`arb_topology`] with a caller-chosen internal-router count (total
-/// size is `internal + 2` providers). The whole-pipeline property suites
-/// pass small sizes here: a debug-build lift run is seconds per router,
-/// so case budgets only fit the small end of the range.
+/// A connected topology of `internal` internal routers (AS 100) linked in
+/// a chain (connectivity by construction) plus sparse random extra links,
+/// with external providers `Pa`/`Pb` attached at either end (total size
+/// `internal + 2`). The whole-pipeline property suites pass small sizes
+/// here: a debug-build lift run is seconds per router, so case budgets
+/// only fit the small end of the range.
 pub fn sized_topology(internal: impl Strategy<Value = usize>) -> impl Strategy<Value = Topology> {
     internal
         .prop_flat_map(|n| {
@@ -259,14 +254,9 @@ pub fn arb_config(topo: &Topology) -> impl Strategy<Value = NetworkConfig> {
         })
 }
 
-/// A full random scenario: topology, configuration, specification over
-/// its paths, and a per-router selector.
-pub fn arb_scenario() -> impl Strategy<Value = Scenario> {
-    scenario_over(arb_topology())
-}
-
-/// [`arb_scenario`] over a caller-chosen topology strategy (see
-/// [`sized_topology`]).
+/// A full random scenario over a caller-chosen topology strategy (see
+/// [`sized_topology`]): topology, configuration, specification over its
+/// paths, and a per-router selector.
 pub fn scenario_over(topos: impl Strategy<Value = Topology>) -> impl Strategy<Value = Scenario> {
     topos.prop_flat_map(|topo| {
         let spec = arb_spec(&topo);

@@ -1,16 +1,12 @@
 //! Differential soundness suite for the abstract-interpretation fixpoint.
 //!
-//! Three contracts, checked against the concrete simulation:
+//! Two contracts, checked against the concrete simulation:
 //!
 //! 1. **Coverage** — on random scenarios, every route the converged
 //!    simulation holds anywhere is covered by some abstract fact
 //!    (`Fixpoint::covers`). The abstraction may over-approximate, never
 //!    under-approximate.
-//! 2. **Pre-filter transparency** — the SAT pass with the fixpoint's
-//!    witness pre-filter reports *exactly* the diagnostics of the
-//!    unfiltered pass: skipped probes are skipped because the witness
-//!    already decided them, never because the question changed.
-//! 3. **Counterexample survival** — the network diagnostics asserted by
+//! 2. **Counterexample survival** — the network diagnostics asserted by
 //!    the golden suite correspond to concrete behaviors: scenario 2's
 //!    valley warning to a provider route actually crossing, the washed
 //!    community to a filter bypass the simulation exhibits, the inverted
@@ -19,9 +15,7 @@
 
 mod common;
 
-use common::gen::{arb_scenario, cases_from_env};
 use common::*;
-use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
 use netexpl_bgp::route::DEFAULT_LOCAL_PREF;
@@ -29,8 +23,7 @@ use netexpl_bgp::sim::stabilize;
 use netexpl_bgp::{
     Action, Community, MatchClause, NetworkConfig, RouteMap, RouteMapEntry, SetClause,
 };
-use netexpl_dataflow::{analyze, AnalyzeOptions};
-use netexpl_lint::{config_pass, sat_pass, SpanIndex};
+use netexpl_dataflow::analyze;
 use netexpl_topology::builders::random_gnp;
 use netexpl_topology::{Prefix, Topology};
 
@@ -138,7 +131,7 @@ fn fixpoint_covers_every_stable_route() {
         let Ok(state) = stabilize(&topo, &net) else {
             continue; // oscillating random policy: out of scope here
         };
-        let fx = analyze(&topo, &net, &AnalyzeOptions::default());
+        let fx = analyze(&topo, &net);
         for prefix in net.prefixes() {
             for r in topo.router_ids() {
                 for route in state.available(prefix, r) {
@@ -155,34 +148,8 @@ fn fixpoint_covers_every_stable_route() {
     assert!(checked > 100, "the sweep should exercise real routes");
 }
 
-proptest! {
-    #![proptest_config(cases_from_env(48))]
-
-    /// The witness pre-filter only removes solver calls, never changes
-    /// the verdicts: filtered and unfiltered SAT passes agree.
-    #[test]
-    fn prefilter_is_transparent_to_the_sat_pass(sc in arb_scenario()) {
-        let vocab = sc.vocab();
-        let spans = SpanIndex::build(&sc.topo, &sc.net);
-        let (_, dead) = config_pass::run(&sc.topo, &sc.net, &spans);
-        let opts = AnalyzeOptions {
-            workers: 1,
-            vocab_prefixes: Some(vocab.prefixes.clone()),
-        };
-        let fx = analyze(&sc.topo, &sc.net, &opts);
-        let prefilter = fx.prefilter();
-
-        let mut plain = sat_pass::run(&sc.topo, &vocab, &sc.net, &spans, &dead, None);
-        let mut fast =
-            sat_pass::run(&sc.topo, &vocab, &sc.net, &spans, &dead, Some(&prefilter));
-        plain.sort();
-        fast.sort();
-        prop_assert_eq!(plain.to_string(), fast.to_string());
-    }
-}
-
 // ---------------------------------------------------------------------------
-// 3. Concrete counterexamples behind the golden network diagnostics.
+// 2. Concrete counterexamples behind the golden network diagnostics.
 
 /// Scenario 2's NE018 is real: with no provider-export filters, P1 ends
 /// up holding a route for D1 that *P2* originated — customer transit.

@@ -11,7 +11,7 @@ mod common;
 use common::*;
 use netexpl_bgp::{Action, MatchClause, RouteMap, RouteMapEntry};
 use netexpl_core::symbolize::{Dir, Selector};
-use netexpl_lint::{lint_config, lint_problem, lint_selector, lint_spec, Code};
+use netexpl_lint::{lint_config, lint_network, lint_problem, lint_selector, lint_spec, Code};
 use netexpl_topology::Prefix;
 
 fn pfx(s: &str) -> Prefix {
@@ -121,11 +121,15 @@ fn mutated_scenario1_sat_only_shadowing() {
         "{structural}"
     );
 
-    // With the SAT pass: entry `deny 20` is provably dead.
-    let diags = lint_problem(&topo, &spec, &net, Some(&vocab));
-    let dead = diags.with_code(Code::UnreachableEntry);
-    assert_eq!(dead.len(), 1, "{diags}");
-    assert!(dead[0].message.contains("deny 20"), "{}", dead[0]);
+    // With the SAT pass: entry `deny 20` is provably dead, and the
+    // network lint's SAT pass reports the same single finding.
+    let per_map = lint_problem(&topo, &spec, &net, Some(&vocab));
+    let network = lint_network(&topo, &spec, &net, Some(&vocab), 0);
+    for diags in [per_map, network] {
+        let dead = diags.with_code(Code::UnreachableEntry);
+        assert_eq!(dead.len(), 1, "{diags}");
+        assert!(dead[0].message.contains("deny 20"), "{}", dead[0]);
+    }
 }
 
 /// Mutation: attach a route map to a session that has no link (R1–P2).
