@@ -16,7 +16,7 @@ use netexpl_synth::synthesize::{SynthResult, SynthStats};
 use netexpl_topology::{Link, Topology};
 use serde_json::Value;
 
-use crate::input::{load_config, load_problem, topology, Options, Problem};
+use crate::input::{load_config, load_problem, topology, Accepts, Options, Problem};
 
 /// Classify an argument-handling failure (NX001).
 fn usage(m: String) -> Error {
@@ -174,6 +174,12 @@ fn diagnostics_json(diags: &Diagnostics) -> Value {
     ])
 }
 
+/// What `netexpl lint` reads.
+pub const LINT: Accepts = Accepts {
+    keys: &["topology", "spec", "trace", "trace-out", "metrics-out"],
+    flags: &["json", "no-sat", "trace", "network", "deny-warnings"],
+};
+
 /// `netexpl lint` — run every static-analysis pass over a specification
 /// and the configuration synthesized from it.
 ///
@@ -181,13 +187,8 @@ fn diagnostics_json(diags: &Diagnostics) -> Value {
 /// suppression; warnings and notes exit zero unless `--deny-warnings`
 /// promotes warnings to errors. `--network` additionally runs the
 /// abstract-interpretation dataflow checks (NE013–NE019).
-pub fn lint(args: &[String]) -> Result<(), Error> {
-    let opts = Options::parse(
-        args,
-        &["json", "no-sat", "trace", "network", "deny-warnings"],
-    )
-    .map_err(usage)?;
-    let _obs = obs_setup(&opts)?;
+pub fn lint(opts: &Options) -> Result<(), Error> {
+    let _obs = obs_setup(opts)?;
     let topo = topology(opts.require("topology").map_err(usage)?)?;
     let spec_path = opts.require("spec").map_err(usage)?;
     let problem = load_problem(&topo, spec_path)?;
@@ -243,14 +244,28 @@ pub fn lint(args: &[String]) -> Result<(), Error> {
     Ok(())
 }
 
+/// What `netexpl synth` reads.
+pub const SYNTH: Accepts = Accepts {
+    keys: &[
+        "topology",
+        "spec",
+        "config",
+        "timeout",
+        "max-conflicts",
+        "trace",
+        "trace-out",
+        "metrics-out",
+    ],
+    flags: &["json", "trace"],
+};
+
 /// `netexpl synth` — synthesize a configuration and print it.
-pub fn synth(args: &[String]) -> Result<(), Error> {
-    let opts = Options::parse(args, &["json", "trace"]).map_err(usage)?;
-    let _obs = obs_setup(&opts)?;
-    let budget = parse_budget(&opts)?;
+pub fn synth(opts: &Options) -> Result<(), Error> {
+    let _obs = obs_setup(opts)?;
+    let budget = parse_budget(opts)?;
     // An exhausted budget surfaces as NX501 — synthesis has no partial
     // artifact worth printing, unlike `explain`.
-    let p = prepare(&opts, budget)?;
+    let p = prepare(opts, budget)?;
 
     // Post-synthesis self-check: the synthesizer should never emit dead
     // or self-contradictory lines; surface them as warnings if it does.
@@ -391,20 +406,38 @@ fn router_report_json(r: &RouterReport) -> Value {
     Value::object(fields)
 }
 
+/// What `netexpl explain` reads.
+pub const EXPLAIN: Accepts = Accepts {
+    keys: &[
+        "topology",
+        "spec",
+        "config",
+        "router",
+        "neighbor",
+        "dir",
+        "entry",
+        "workers",
+        "timeout",
+        "max-conflicts",
+        "trace",
+        "trace-out",
+        "metrics-out",
+    ],
+    flags: &["json", "skip-lift", "trace", "all", "fail-fast"],
+};
+
 /// `netexpl explain` — synthesize (or load) the configuration, then run the
 /// explanation pipeline for one router, or with `--all` for every router
 /// in parallel.
-pub fn explain_cmd(args: &[String]) -> Result<(), Error> {
-    let opts =
-        Options::parse(args, &["json", "skip-lift", "trace", "all", "fail-fast"]).map_err(usage)?;
-    let _obs = obs_setup(&opts)?;
-    let budget = parse_budget(&opts)?;
+pub fn explain_cmd(opts: &Options) -> Result<(), Error> {
+    let _obs = obs_setup(opts)?;
+    let budget = parse_budget(opts)?;
     // The budget governs the *explanation* pipeline. Synthesis here only
     // reconstructs the configuration being explained, so it runs
     // unbudgeted — a partial explanation of a complete config is useful; a
     // partial config is not.
-    let mut p = prepare(&opts, Budget::unlimited())?;
-    let selector = parse_selector(&opts, &p.topo)?;
+    let mut p = prepare(opts, Budget::unlimited())?;
+    let selector = parse_selector(opts, &p.topo)?;
     let explain_opts = ExplainOptions {
         skip_lift: opts.flag("skip-lift"),
         budget,
@@ -417,7 +450,7 @@ pub fn explain_cmd(args: &[String]) -> Result<(), Error> {
                 "--all explains every router; drop --router (or drop --all)".to_string(),
             ));
         }
-        return explain_all_cmd(&opts, &mut p, &selector, explain_opts);
+        return explain_all_cmd(opts, &mut p, &selector, explain_opts);
     }
 
     let router_name = opts.require("router").map_err(usage)?;
@@ -519,11 +552,16 @@ fn explain_all_cmd(
     Ok(())
 }
 
+/// What `netexpl assumptions` reads.
+pub const ASSUMPTIONS: Accepts = Accepts {
+    keys: &["topology", "spec", "config", "router"],
+    flags: &[],
+};
+
 /// `netexpl assumptions` — synthesize, then compute the environment
 /// assumptions for one router (the paper's §5 extension).
-pub fn assumptions(args: &[String]) -> Result<(), Error> {
-    let opts = Options::parse(args, &[]).map_err(usage)?;
-    let mut p = prepare(&opts, Budget::unlimited())?;
+pub fn assumptions(opts: &Options) -> Result<(), Error> {
+    let mut p = prepare(opts, Budget::unlimited())?;
     let router_name = opts.require("router").map_err(usage)?;
     let router = p
         .topo
@@ -544,10 +582,15 @@ pub fn assumptions(args: &[String]) -> Result<(), Error> {
     Ok(())
 }
 
+/// What `netexpl simulate` reads.
+pub const SIMULATE: Accepts = Accepts {
+    keys: &["topology", "spec", "config", "fail"],
+    flags: &["json"],
+};
+
 /// `netexpl simulate` — synthesize and show the stable routing state.
-pub fn simulate(args: &[String]) -> Result<(), Error> {
-    let opts = Options::parse(args, &["json"]).map_err(usage)?;
-    let p = prepare(&opts, Budget::unlimited())?;
+pub fn simulate(opts: &Options) -> Result<(), Error> {
+    let p = prepare(opts, Budget::unlimited())?;
     let topo = p.topo;
     let problem = p.problem;
     let result = p.result;
@@ -598,9 +641,14 @@ pub fn simulate(args: &[String]) -> Result<(), Error> {
     Ok(())
 }
 
+/// What `netexpl scenario` reads: its positional argument only.
+pub const SCENARIO: Accepts = Accepts {
+    keys: &[],
+    flags: &[],
+};
+
 /// `netexpl scenario <1|2|3>` — run the paper's motivating scenarios.
-pub fn scenario(args: &[String]) -> Result<(), Error> {
-    let opts = Options::parse(args, &[]).map_err(usage)?;
+pub fn scenario(opts: &Options) -> Result<(), Error> {
     let which = opts.positional().first().map(String::as_str).unwrap_or("1");
     let example = match which {
         "1" => "scenario1_underspecified",
@@ -613,6 +661,25 @@ pub fn scenario(args: &[String]) -> Result<(), Error> {
     )))
 }
 
+/// What `netexpl profile` reads.
+pub const PROFILE: Accepts = Accepts {
+    keys: &[
+        "topology",
+        "spec",
+        "config",
+        "router",
+        "neighbor",
+        "dir",
+        "entry",
+        "workers",
+        "top",
+        "trace-out",
+        "timeout",
+        "max-conflicts",
+    ],
+    flags: &["all", "lint", "skip-lift", "fail-fast"],
+};
+
 /// `netexpl profile` — run a workload (`--router <R>` single explain,
 /// `--all` network-wide explain, or `--lint` the network lint) under
 /// full in-memory instrumentation and print the attribution report:
@@ -621,9 +688,8 @@ pub fn scenario(args: &[String]) -> Result<(), Error> {
 /// diagnostic, cache hit/miss counts, and latency quantiles. With
 /// `--trace-out <FILE>` the captured session is also written as Chrome
 /// `trace_event` JSON.
-pub fn profile(args: &[String]) -> Result<(), Error> {
-    let opts = Options::parse(args, &["all", "lint", "skip-lift", "fail-fast"]).map_err(usage)?;
-    let budget = parse_budget(&opts)?;
+pub fn profile(opts: &Options) -> Result<(), Error> {
+    let budget = parse_budget(opts)?;
     let top = match opts.get("top") {
         None => 5,
         Some(t) => t
@@ -644,7 +710,7 @@ pub fn profile(args: &[String]) -> Result<(), Error> {
     // Everything from here to the guard drop records into the memory
     // session — synthesis included, so the report shows its share too.
     let (guard, handle) = netexpl_obs::install_memory();
-    let mut p = prepare(&opts, Budget::unlimited())?;
+    let mut p = prepare(opts, Budget::unlimited())?;
     let explain_opts = ExplainOptions {
         skip_lift: opts.flag("skip-lift"),
         budget,
@@ -663,7 +729,7 @@ pub fn profile(args: &[String]) -> Result<(), Error> {
             "lint: {errors} error(s), {warnings} warning(s), {notes} note(s)"
         ));
     } else if opts.flag("all") {
-        let selector = parse_selector(&opts, &p.topo)?;
+        let selector = parse_selector(opts, &p.topo)?;
         explain_all(
             &mut p.ctx,
             &p.topo,
@@ -674,7 +740,7 @@ pub fn profile(args: &[String]) -> Result<(), Error> {
             &selector,
             ExplainAllOptions {
                 explain: explain_opts,
-                workers: parse_workers(&opts)?,
+                workers: parse_workers(opts)?,
                 fail_fast: opts.flag("fail-fast"),
             },
         )
@@ -685,7 +751,7 @@ pub fn profile(args: &[String]) -> Result<(), Error> {
             .topo
             .router_by_name(router_name)
             .ok_or_else(|| Error::Topology(format!("unknown router `{router_name}`")))?;
-        let selector = parse_selector(&opts, &p.topo)?;
+        let selector = parse_selector(opts, &p.topo)?;
         explain(
             &mut p.ctx,
             &p.topo,
@@ -715,6 +781,21 @@ pub fn profile(args: &[String]) -> Result<(), Error> {
     Ok(())
 }
 
+/// What `netexpl diff` reads, besides its two configuration files.
+pub const DIFF: Accepts = Accepts {
+    keys: &[
+        "topology",
+        "spec",
+        "workers",
+        "timeout",
+        "max-conflicts",
+        "trace",
+        "trace-out",
+        "metrics-out",
+    ],
+    flags: &["json", "skip-lift", "trace", "fail-fast"],
+};
+
 /// `netexpl diff` — incremental re-explanation across a configuration
 /// edit: `netexpl diff --topology <T> --spec <FILE> <OLD> <NEW>` loads two
 /// rendered configurations (as written by `netexpl synth`, plus optional
@@ -724,10 +805,9 @@ pub fn profile(args: &[String]) -> Result<(), Error> {
 /// maps changed and how (cosmetic vs semantic), which routers were
 /// recomputed and why, the full-vs-delta wall clocks, and every
 /// subspecification that actually changed.
-pub fn diff(args: &[String]) -> Result<(), Error> {
-    let opts = Options::parse(args, &["json", "skip-lift", "trace", "fail-fast"]).map_err(usage)?;
-    let _obs = obs_setup(&opts)?;
-    let budget = parse_budget(&opts)?;
+pub fn diff(opts: &Options) -> Result<(), Error> {
+    let _obs = obs_setup(opts)?;
+    let budget = parse_budget(opts)?;
     let topo = topology(opts.require("topology").map_err(usage)?)?;
     let problem = load_problem(&topo, opts.require("spec").map_err(usage)?)?;
     let [old_path, new_path] = opts.positional() else {
@@ -745,7 +825,7 @@ pub fn diff(args: &[String]) -> Result<(), Error> {
             budget,
             ..Default::default()
         },
-        workers: parse_workers(&opts)?,
+        workers: parse_workers(opts)?,
         fail_fast: opts.flag("fail-fast"),
     };
 
@@ -953,11 +1033,16 @@ pub fn diff(args: &[String]) -> Result<(), Error> {
 /// for (the paper's Fig. 6 pipeline).
 const REQUIRED_STAGES: [&str; 4] = ["symbolize", "seed", "simplify", "lift"];
 
+/// What `netexpl obs-check` reads.
+pub const OBS_CHECK: Accepts = Accepts {
+    keys: &["trace-file", "metrics-file"],
+    flags: &[],
+};
+
 /// `netexpl obs-check` — validate emitted observability artifacts: a
 /// JSON-lines trace (every line parses; one span per pipeline stage) and
 /// optionally a `--metrics-out` metrics file. Used by CI.
-pub fn obs_check(args: &[String]) -> Result<(), Error> {
-    let opts = Options::parse(args, &[]).map_err(usage)?;
+pub fn obs_check(opts: &Options) -> Result<(), Error> {
     let trace_path = opts.require("trace-file").map_err(usage)?;
     let text = std::fs::read_to_string(trace_path).map_err(|e| Error::Io {
         path: trace_path.to_string(),

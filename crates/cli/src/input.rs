@@ -10,6 +10,18 @@ use netexpl_topology::Topology;
 
 pub use netexpl_core::Problem;
 
+/// The options one subcommand reads: keys that take a value (`--key
+/// value` or `--key=value`) and bare flags. A name in both lists is a
+/// flag when given bare (`--trace`) and a key when given a value
+/// (`--trace=json`).
+#[derive(Debug)]
+pub struct Accepts {
+    /// Options that take a value.
+    pub keys: &'static [&'static str],
+    /// Options that take none.
+    pub flags: &'static [&'static str],
+}
+
 /// Parsed `--key value` / `--flag` arguments.
 #[derive(Debug, Default)]
 pub struct Options {
@@ -19,25 +31,33 @@ pub struct Options {
 }
 
 impl Options {
-    /// Parse a raw argument list. Known flags take no value.
-    pub fn parse(args: &[String], flag_names: &[&str]) -> Result<Options, String> {
+    /// Parse a raw argument list against the options a subcommand reads.
+    /// Any other `--name` fails, naming it: a misspelt option is an
+    /// error, never silently ignored.
+    pub fn parse(args: &[String], accepts: &Accepts) -> Result<Options, String> {
+        let unknown = |name: &str| format!("unknown option --{name}");
         let mut out = Options::default();
         let mut i = 0;
         while i < args.len() {
             let a = &args[i];
             if let Some(name) = a.strip_prefix("--") {
                 if let Some((key, value)) = name.split_once('=') {
+                    if !accepts.keys.contains(&key) {
+                        return Err(unknown(key));
+                    }
                     out.pairs.push((key.to_string(), value.to_string()));
                     i += 1;
-                } else if flag_names.contains(&name) {
+                } else if accepts.flags.contains(&name) {
                     out.flags.push(name.to_string());
                     i += 1;
-                } else {
+                } else if accepts.keys.contains(&name) {
                     let value = args
                         .get(i + 1)
                         .ok_or_else(|| format!("--{name} needs a value"))?;
                     out.pairs.push((name.to_string(), value.clone()));
                     i += 2;
+                } else {
+                    return Err(unknown(name));
                 }
             } else {
                 out.positional.push(a.clone());
@@ -121,9 +141,13 @@ pub fn load_config(
 mod tests {
     use super::*;
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn options_parsing() {
-        let args: Vec<String> = [
+        let args = strings(&[
             "--topology",
             "paper",
             "--json",
@@ -132,11 +156,12 @@ mod tests {
             "--fail",
             "C-D",
             "pos",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let o = Options::parse(&args, &["json", "skip-lift"]).unwrap();
+        ]);
+        let accepts = Accepts {
+            keys: &["topology", "fail", "missing"],
+            flags: &["json", "skip-lift"],
+        };
+        let o = Options::parse(&args, &accepts).unwrap();
         assert_eq!(o.get("topology"), Some("paper"));
         assert!(o.flag("json"));
         assert!(!o.flag("skip-lift"));
@@ -147,16 +172,37 @@ mod tests {
 
     #[test]
     fn options_key_equals_value() {
-        let args: Vec<String> = ["--trace=json", "--trace", "--metrics-out=m.json"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let o = Options::parse(&args, &["trace"]).unwrap();
+        let args = strings(&["--trace=json", "--trace", "--metrics-out=m.json"]);
+        let accepts = Accepts {
+            keys: &["trace", "metrics-out"],
+            flags: &["trace"],
+        };
+        let o = Options::parse(&args, &accepts).unwrap();
         // `--trace=json` parses as a pair even though `trace` is a flag name;
         // bare `--trace` still registers as a flag.
         assert_eq!(o.get("trace"), Some("json"));
         assert!(o.flag("trace"));
         assert_eq!(o.get("metrics-out"), Some("m.json"));
+    }
+
+    /// A name the subcommand does not read fails, and the error names
+    /// it, whichever form it takes.
+    #[test]
+    fn unknown_options_are_rejected_by_name() {
+        let accepts = Accepts {
+            keys: &["workers"],
+            flags: &["json"],
+        };
+        for args in [
+            &["--wrkers", "2"][..],
+            &["--wrkers=2"],
+            &["--json=1"],
+            &["--workers", "2", "--wrkers"],
+        ] {
+            let err = Options::parse(&strings(args), &accepts).unwrap_err();
+            assert!(err.contains("--wrkers") || err.contains("--json"), "{err}");
+        }
+        assert!(Options::parse(&strings(&["--workers=2", "--json"]), &accepts).is_ok());
     }
 
     #[test]

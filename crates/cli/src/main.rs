@@ -45,6 +45,8 @@ use std::process::ExitCode;
 
 use netexpl_core::Error;
 
+use crate::input::{Accepts, Options};
+
 fn main() -> ExitCode {
     // Fault injection for release-binary smoke tests: NETEXPL_FAULT names
     // comma-separated sites (see `netexpl_faults::sites`) to arm for the
@@ -66,38 +68,53 @@ fn main() -> ExitCode {
     }
 }
 
+/// A subcommand: its name, the options it reads, and its entry point.
+type Command = (
+    &'static str,
+    &'static Accepts,
+    fn(&Options) -> Result<(), Error>,
+);
+
+/// Every subcommand.
+const COMMANDS: [Command; 11] = [
+    ("synth", &commands::SYNTH, commands::synth),
+    ("lint", &commands::LINT, commands::lint),
+    ("explain", &commands::EXPLAIN, commands::explain_cmd),
+    ("diff", &commands::DIFF, commands::diff),
+    ("assumptions", &commands::ASSUMPTIONS, commands::assumptions),
+    ("simulate", &commands::SIMULATE, commands::simulate),
+    ("scenario", &commands::SCENARIO, commands::scenario),
+    ("profile", &commands::PROFILE, commands::profile),
+    ("obs-check", &commands::OBS_CHECK, commands::obs_check),
+    ("serve", &serve_cmd::SERVE, serve_cmd::serve),
+    ("request", &serve_cmd::REQUEST, serve_cmd::request),
+];
+
 fn run(args: &[String]) -> Result<(), Error> {
     let Some(command) = args.first() else {
         print_usage();
         return Err(Error::Usage("missing command".into()));
     };
-    let rest = &args[1..];
-    match command.as_str() {
-        "synth" => commands::synth(rest),
-        "lint" => commands::lint(rest),
-        "explain" => commands::explain_cmd(rest),
-        "diff" => commands::diff(rest),
-        "assumptions" => commands::assumptions(rest),
-        "simulate" => commands::simulate(rest),
-        "scenario" => commands::scenario(rest),
-        "profile" => commands::profile(rest),
-        "obs-check" => commands::obs_check(rest),
-        "serve" => serve_cmd::serve(rest),
-        "request" => serve_cmd::request(rest),
-        "help" | "--help" | "-h" => {
-            print_usage();
-            Ok(())
-        }
-        other => {
-            print_usage();
-            Err(Error::Usage(format!("unknown command `{other}`")))
-        }
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        print_usage();
+        return Ok(());
     }
+    let Some(&(_, accepts, entry)) = COMMANDS.iter().find(|(name, ..)| name == command) else {
+        print_usage();
+        return Err(Error::Usage(format!("unknown command `{command}`")));
+    };
+    // The whole command line is checked before the command does any work.
+    let opts =
+        Options::parse(&args[1..], accepts).map_err(|m| Error::Usage(format!("{command}: {m}")))?;
+    entry(&opts)
 }
 
 fn print_usage() {
-    eprintln!(
-        "netexpl — explainable network configuration synthesis\n\
+    eprintln!("{USAGE}");
+}
+
+/// The usage text `help` prints.
+const USAGE: &str = "netexpl — explainable network configuration synthesis\n\
          \n\
          USAGE:\n\
            netexpl synth    --topology <T> --spec <FILE> [--json]\n\
@@ -171,6 +188,85 @@ fn print_usage() {
            ring:N     N internal routers in a ring, two providers\n\
            star:N     hub and N spokes, two providers\n\
          \n\
-         SPEC FILES use the requirement DSL plus `// @originate <Router> <prefix>`."
-    );
+         SPEC FILES use the requirement DSL plus `// @originate <Router> <prefix>`.";
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn accepts(command: &str) -> &'static Accepts {
+        COMMANDS
+            .iter()
+            .find(|(name, ..)| *name == command)
+            .map(|&(_, accepts, _)| accepts)
+            .unwrap_or_else(|| panic!("no command `{command}`"))
+    }
+
+    /// Does `command` parse `--name`, given bare if it is a flag and with
+    /// a value otherwise?
+    fn parses(command: &str, name: &str) -> bool {
+        let accepts = accepts(command);
+        let arg = if accepts.flags.contains(&name) {
+            format!("--{name}")
+        } else {
+            format!("--{name}=x")
+        };
+        Options::parse(&[arg], accepts).is_ok()
+    }
+
+    /// Every `--name` in `text`.
+    fn option_names(text: &str) -> impl Iterator<Item = &str> {
+        text.split("--").skip(1).filter_map(|rest| {
+            let end = rest
+                .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                .unwrap_or(rest.len());
+            (end > 0).then(|| &rest[..end])
+        })
+    }
+
+    /// Each `netexpl <command>` line of the usage text, its continuation
+    /// lines and the option sections that name the command list options
+    /// the command parses.
+    #[test]
+    fn every_option_in_the_usage_text_parses() {
+        let mut commands: Vec<&str> = Vec::new();
+        let mut checked = 0;
+        for line in USAGE.lines().map(str::trim) {
+            if let Some(rest) = line.strip_prefix("netexpl ") {
+                commands = rest.split_whitespace().take(1).collect();
+            } else if let Some(list) = line
+                .strip_suffix("):")
+                .and_then(|head| head.split_once('('))
+            {
+                commands = list.1.split(", ").collect();
+            } else if line.is_empty() || line.ends_with(':') {
+                commands.clear();
+            }
+            for name in option_names(line) {
+                for &command in &commands {
+                    assert!(parses(command, name), "{command} rejects --{name}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 50, "only {checked} options checked");
+    }
+
+    /// Every `netexpl` invocation in the repository gate parses.
+    #[test]
+    fn every_option_in_the_ci_script_parses() {
+        let script = include_str!("../../../scripts/ci.sh").replace("\\\n", " ");
+        let mut checked = 0;
+        for line in script.lines() {
+            let Some((_, call)) = line.split_once("./target/release/netexpl ") else {
+                continue;
+            };
+            let command = call.split_whitespace().next().unwrap();
+            for name in option_names(call) {
+                assert!(parses(command, name), "{command} rejects --{name}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 50, "only {checked} options checked");
+    }
 }

@@ -9,7 +9,7 @@ use netexpl_serve::protocol::write_frame;
 use netexpl_serve::{EngineConfig, Server, ServerConfig};
 use serde_json::Value;
 
-use crate::input::Options;
+use crate::input::{Accepts, Options};
 
 fn usage(m: String) -> Error {
     Error::Usage(m)
@@ -24,31 +24,46 @@ fn parse_num<T: std::str::FromStr>(opts: &Options, key: &str, default: T) -> Res
     }
 }
 
+/// What `netexpl serve` reads.
+pub const SERVE: Accepts = Accepts {
+    keys: &[
+        "addr",
+        "workers",
+        "queue",
+        "pool",
+        "default-timeout",
+        "max-timeout",
+        "read-timeout",
+        "max-request-bytes",
+        "metrics-out",
+    ],
+    flags: &[],
+};
+
 /// `netexpl serve` — run the explanation service until drained.
-pub fn serve(args: &[String]) -> Result<(), Error> {
-    let opts = Options::parse(args, &[]).map_err(usage)?;
+pub fn serve(opts: &Options) -> Result<(), Error> {
     let defaults = ServerConfig::default();
     let engine_defaults = EngineConfig::default();
     let config = ServerConfig {
         addr: opts.get("addr").unwrap_or("127.0.0.1:0").to_string(),
-        workers: parse_num(&opts, "workers", defaults.workers)?,
-        queue_capacity: parse_num(&opts, "queue", defaults.queue_capacity)?,
+        workers: parse_num(opts, "workers", defaults.workers)?,
+        queue_capacity: parse_num(opts, "queue", defaults.queue_capacity)?,
         engine: EngineConfig {
-            pool_capacity: parse_num(&opts, "pool", engine_defaults.pool_capacity)?,
+            pool_capacity: parse_num(opts, "pool", engine_defaults.pool_capacity)?,
             default_timeout: Duration::from_secs(parse_num(
-                &opts,
+                opts,
                 "default-timeout",
                 engine_defaults.default_timeout.as_secs(),
             )?),
             max_timeout: Duration::from_secs(parse_num(
-                &opts,
+                opts,
                 "max-timeout",
                 engine_defaults.max_timeout.as_secs(),
             )?),
         },
-        max_request_bytes: parse_num(&opts, "max-request-bytes", defaults.max_request_bytes)?,
+        max_request_bytes: parse_num(opts, "max-request-bytes", defaults.max_request_bytes)?,
         read_timeout: Duration::from_secs(parse_num(
-            &opts,
+            opts,
             "read-timeout",
             defaults.read_timeout.as_secs(),
         )?),
@@ -69,10 +84,27 @@ pub fn serve(args: &[String]) -> Result<(), Error> {
     Ok(())
 }
 
+/// What `netexpl request` reads.
+pub const REQUEST: Accepts = Accepts {
+    keys: &[
+        "addr",
+        "op",
+        "id",
+        "topology",
+        "spec",
+        "router",
+        "workers",
+        "timeout-ms",
+        "site",
+        "shots",
+        "mode",
+    ],
+    flags: &["skip-lift"],
+};
+
 /// `netexpl request` — send one request line, print the response, and
 /// exit with the server's error classification on failure.
-pub fn request(args: &[String]) -> Result<(), Error> {
-    let opts = Options::parse(args, &["skip-lift"]).map_err(usage)?;
+pub fn request(opts: &Options) -> Result<(), Error> {
     let addr = opts.require("addr").map_err(usage)?;
     let op = opts.require("op").map_err(usage)?;
 

@@ -703,6 +703,51 @@ fn profile_requires_exactly_one_workload() {
     assert!(stderr.contains("--router"), "{stderr}");
 }
 
+/// An option the subcommand does not read is a usage error that names
+/// it, raised before any work: a misspelt `--workers`, and `--workers` on
+/// `lint`, which runs on the calling thread and reads no worker count.
+#[test]
+fn options_a_command_does_not_read_are_rejected() {
+    let spec = spec_file("unknownopt", SPEC);
+    let spec = spec.to_str().unwrap();
+    for (args, option) in [
+        (
+            vec![
+                "explain",
+                "--topology",
+                "paper",
+                "--spec",
+                spec,
+                "--all",
+                "--wrkers",
+                "x",
+            ],
+            "--wrkers",
+        ),
+        (
+            vec![
+                "lint",
+                "--topology",
+                "paper",
+                "--spec",
+                spec,
+                "--network",
+                "--workers",
+                "2",
+            ],
+            "--workers",
+        ),
+    ] {
+        let out = netexpl().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} did work");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("error[NX001]"), "{stderr}");
+        assert!(stderr.contains(option), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    }
+}
+
 /// `NETEXPL_FAULT` accepts only live injection sites: a typo, or a site
 /// the pipeline no longer has (`lift.shard`), is a usage error rather
 /// than a fault that silently never fires.

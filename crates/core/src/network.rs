@@ -13,8 +13,10 @@
 //!   an O(1) fork that shares the frozen arena and keeps every term id.
 //!   Its seed stage replays concrete crossings from the cache, re-deriving
 //!   only the clauses touched by its router's symbolization.
-//! * **Parallel fan-out.** Routers are distributed over `workers` OS
-//!   threads (`std::thread::scope`; no runtime dependency). The caller's
+//! * **Parallel fan-out.** Routers are distributed over `workers`
+//!   workers: the calling thread and `workers − 1` scoped threads
+//!   (`std::thread::scope`; no runtime dependency), so a one-worker run
+//!   spawns nothing. The caller's
 //!   [`Budget`](netexpl_logic::budget::Budget) is split per worker —
 //!   countable caps divided, deadline and cancel token shared — so one
 //!   stuck router exhausts its own slice and degrades to a best-effort
@@ -24,12 +26,14 @@
 //!   to partial results. This fan-out is the pipeline's only parallelism:
 //!   each router's lift runs serially on its worker.
 //!
-//! Observability: when the caller has an obs session, each worker thread
-//! opens a memory-backed session time-aligned with it (shared epoch, own
-//! track) and its captured per-stage spans, solver samples, and metrics
-//! are replayed under the `explain_all` span after the pool joins — so
-//! traces and `netexpl profile` see inside every router's pipeline. The
-//! main thread additionally aggregates per-router latency
+//! Observability: the calling thread's routers record straight into the
+//! caller's obs session (track 0). When the caller has a session, each
+//! spawned worker opens a memory-backed session time-aligned with it
+//! (shared epoch, own track) and its captured per-stage spans, solver
+//! samples, and metrics are replayed under the `explain_all` span after
+//! the pool joins — so traces and `netexpl profile` see inside every
+//! router's pipeline. The calling thread additionally aggregates
+//! per-router latency
 //! (`explain_all.router_ms` histogram), `cache.hit` / `cache.miss`
 //! counters, and the `explain_all.workers` gauge.
 //!
@@ -45,7 +49,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use netexpl_bgp::NetworkConfig;
-use netexpl_logic::budget::CancelToken;
+use netexpl_logic::budget::{Budget, CancelToken};
 use netexpl_logic::term::Ctx;
 use netexpl_obs::Span;
 use netexpl_spec::Specification;
@@ -65,8 +69,8 @@ pub struct ExplainAllOptions {
     /// Per-router pipeline options. The budget set here is the *total*
     /// budget for the run; [`explain_all`] splits it across workers.
     pub explain: ExplainOptions,
-    /// Worker threads. `0` picks the machine's available parallelism,
-    /// capped at the number of routers.
+    /// Workers, the calling thread included. `0` picks the machine's
+    /// available parallelism, capped at the number of routers.
     pub workers: usize,
     /// Cancel the whole run on the first hard per-router failure (budget
     /// exhaustion degrades and is never a failure).
@@ -126,7 +130,7 @@ pub struct RouterReport {
 pub struct NetworkExplanation {
     /// Per-router reports, in topology order.
     pub routers: Vec<RouterReport>,
-    /// Worker threads actually used.
+    /// Workers actually used, the calling thread included.
     pub workers: usize,
     /// Wall-clock duration of the whole fan-out (excluding cache build).
     pub wall: Duration,
@@ -307,7 +311,7 @@ pub fn explain_all_cached(
 pub(crate) struct SubsetRun {
     /// `(outcome, duration)` parallel to the input router slice.
     pub outcomes: Vec<(RouterOutcome, Duration)>,
-    /// Worker threads actually used.
+    /// Workers actually used, the calling thread included.
     pub workers: usize,
     /// Wall-clock duration of the fan-out.
     pub wall: Duration,
@@ -317,7 +321,8 @@ pub(crate) struct SubsetRun {
 /// engine: explain exactly the routers in `routers` (any subset of the
 /// topology, e.g. a delta run's dirty set), in parallel, against the
 /// shared cache. Budget splitting, fail-fast cancellation, and worker-obs
-/// replay behave exactly as on a full run. Every router forks one frozen
+/// replay behave exactly as on a full run. Worker 0 is the calling
+/// thread; workers 1.. get scoped threads. Every router forks one frozen
 /// snapshot of `ctx`: that costs one copy when `ctx` is unfrozen, and
 /// nothing when it is frozen.
 #[allow(clippy::too_many_arguments)]
@@ -349,14 +354,50 @@ pub(crate) fn run_routers(
     }
     let shares = budget.split(workers);
 
-    let next = AtomicUsize::new(0);
-    let cache_ref = &cache;
-    let explain_opts = &options.explain;
-    let fail_fast = options.fail_fast;
-    // Workers run on fresh threads with no obs session of their own. When
-    // the caller has one, each worker opens a memory-backed session sharing
-    // our epoch (so timestamps align) on its own track, and hands the
-    // captured spans/samples/metrics back for replay under this span —
+    // Worker `t` explains router `t` first, so every worker has a share
+    // of the run, then claims the next unclaimed router until none is
+    // left. A fresh fork per router: the pipeline's artifacts must not
+    // depend on what ran earlier on its worker.
+    let next = AtomicUsize::new(workers);
+    let work = |track: usize, share: &Budget| {
+        let mut done: Vec<(usize, RouterOutcome, Duration)> = Vec::new();
+        let mut i = track;
+        while let Some(&router) = routers.get(i) {
+            let t0 = Instant::now();
+            let mut worker_ctx = snapshot.clone();
+            let mut opts = options.explain.clone();
+            opts.budget = share.clone();
+            let outcome = match explain_cached(
+                &mut worker_ctx,
+                topo,
+                vocab,
+                sorts,
+                config,
+                spec,
+                router,
+                selector,
+                opts,
+                Some(cache),
+            ) {
+                Ok(e) => RouterOutcome::Explained(Box::new(e)),
+                Err(ExplainError::NothingSymbolized) => RouterOutcome::Skipped,
+                Err(e) => {
+                    if options.fail_fast {
+                        token.cancel();
+                    }
+                    RouterOutcome::Failed(e)
+                }
+            };
+            done.push((i, outcome, t0.elapsed()));
+            i = next.fetch_add(1, Ordering::Relaxed);
+        }
+        done
+    };
+    // Worker 0 is the calling thread, recording into the caller's obs
+    // session (track 0); only workers 1.. get threads of their own. When
+    // the caller has a session, each of those opens a memory-backed one
+    // sharing our epoch (so timestamps align) on its own track, and hands
+    // the captured spans/samples/metrics back for replay under this span —
     // which is what puts per-stage worker timings into traces and the
     // profile report instead of losing them to thread locality.
     let capture_epoch = netexpl_obs::session_epoch();
@@ -365,57 +406,28 @@ pub(crate) fn run_routers(
         .take(routers.len())
         .collect();
     std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(workers);
-        for (track, share) in shares.iter().take(workers).enumerate() {
-            let next = &next;
-            let routers = &routers;
-            let token = &token;
-            handles.push(s.spawn(move || {
-                let obs = capture_epoch
-                    .map(|epoch| netexpl_obs::install_memory_worker(epoch, track as u32 + 1));
-                let mut done: Vec<(usize, RouterOutcome, Duration)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&router) = routers.get(i) else { break };
-                    let t0 = Instant::now();
-                    // Fresh fork per router: the pipeline's artifacts must
-                    // not depend on what ran earlier on this worker.
-                    let mut worker_ctx = snapshot.clone();
-                    let mut opts = explain_opts.clone();
-                    opts.budget = share.clone();
-                    let outcome = match explain_cached(
-                        &mut worker_ctx,
-                        topo,
-                        vocab,
-                        sorts,
-                        config,
-                        spec,
-                        router,
-                        selector,
-                        opts,
-                        Some(cache_ref),
-                    ) {
-                        Ok(e) => RouterOutcome::Explained(Box::new(e)),
-                        Err(ExplainError::NothingSymbolized) => RouterOutcome::Skipped,
-                        Err(e) => {
-                            if fail_fast {
-                                token.cancel();
-                            }
-                            RouterOutcome::Failed(e)
-                        }
-                    };
-                    done.push((i, outcome, t0.elapsed()));
-                }
-                let captured = obs.map(|(guard, handle)| {
-                    drop(guard); // flush worker metrics into the handle
-                    handle.data()
-                });
-                (done, captured)
-            }));
-        }
-        for h in handles {
+        let work = &work;
+        let handles: Vec<_> = (1..workers)
+            .map(|track| {
+                let share = &shares[track];
+                s.spawn(move || {
+                    let obs = capture_epoch
+                        .map(|epoch| netexpl_obs::install_memory_worker(epoch, track as u32));
+                    let done = work(track, share);
+                    let captured = obs.map(|(guard, handle)| {
+                        drop(guard); // flush worker metrics into the handle
+                        handle.data()
+                    });
+                    (done, captured)
+                })
+            })
+            .collect();
+        let own = work(0, &shares[0]);
+        let joined = handles.into_iter().map(|h| {
             // A worker panic is a pipeline bug, not a degradable condition.
-            let (done, captured) = h.join().expect("explain worker panicked");
+            h.join().expect("explain worker panicked")
+        });
+        for (done, captured) in std::iter::once((own, None)).chain(joined) {
             for (i, outcome, dur) in done {
                 collected[i] = Some((outcome, dur));
             }
@@ -585,6 +597,32 @@ mod tests {
                 }
                 Err(e) => panic!("direct explain failed: {e}"),
             }
+        }
+    }
+
+    /// Worker 0 is the calling thread: its routers record straight into
+    /// the caller's session on track 0, and only workers 1.. install
+    /// worker sessions, on tracks 1... Every worker explains at least its
+    /// own first router, so the tracks in use do not depend on scheduling.
+    #[test]
+    fn the_calling_thread_is_worker_zero() {
+        for (workers, tracks) in [(1, vec![0]), (2, vec![0, 1])] {
+            let (guard, handle) = netexpl_obs::install_memory();
+            let all = run(workers);
+            drop(guard);
+            assert_eq!(all.workers, workers);
+            let root = handle.spans_named("explain_all");
+            let explains = handle.spans_named("explain");
+            assert_eq!(explains.len(), all.routers.len());
+            assert!(explains.iter().all(|s| s.parent == Some(root[0].id)));
+            let used: std::collections::BTreeSet<u32> = explains.iter().map(|s| s.track).collect();
+            assert_eq!(
+                used.into_iter().collect::<Vec<_>>(),
+                tracks,
+                "{workers} workers"
+            );
+            let spans = handle.data().spans;
+            assert!(spans.iter().all(|s| s.track < workers as u32));
         }
     }
 

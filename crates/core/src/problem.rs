@@ -152,6 +152,41 @@ Req1 { !(P1 -> ... -> P2) }
         assert_eq!(p.spec.requirements().count(), 1);
     }
 
+    /// Synthesis bit-blasts and solves in a scratch fork: the caller's
+    /// context ends with exactly the terms and variables the sketch and
+    /// the encoder put there, none of the solve's lowering.
+    #[test]
+    fn synthesis_leaves_the_context_as_the_encoder_left_it() {
+        let ring = "\
+// @originate Pa 200.7.0.0/16
+// @originate Pb 201.0.0.0/16
+dest D1 = 200.7.0.0/16
+dest D2 = 201.0.0.0/16
+Req1 { !(Pa -> ... -> Pb) !(Pb -> ... -> Pa) }
+Req2 { R0 ~> D2 }
+";
+        for (name, spec) in [("paper", SPEC), ("ring:6", ring)] {
+            let topo = topology_by_name(name).unwrap();
+            let problem = parse_problem(&topo, name, spec).unwrap();
+            let mut ctx = Ctx::new();
+            let sorts = problem.vocab.sorts(&mut ctx);
+            synthesize_problem(&topo, &problem, &mut ctx, sorts, Budget::unlimited()).unwrap();
+
+            let mut encoded = Ctx::new();
+            let sorts = problem.vocab.sorts(&mut encoded);
+            let factory = HoleFactory::new(&problem.vocab, sorts);
+            let sketch = default_sketch(&mut encoded, &topo, &factory, &problem.base);
+            netexpl_synth::Encoder::new(&topo, &problem.vocab, sorts, Default::default())
+                .encode(&mut encoded, &sketch, &problem.spec)
+                .unwrap();
+            assert_eq!(
+                (ctx.num_terms(), ctx.num_vars()),
+                (encoded.num_terms(), encoded.num_vars()),
+                "{name}"
+            );
+        }
+    }
+
     #[test]
     fn parse_problem_rejects_missing_originations_with_the_origin_tag() {
         let topo = topology_by_name("paper").unwrap();

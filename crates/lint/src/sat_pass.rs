@@ -102,6 +102,10 @@ struct FreeRoute {
     domain: TermId,
     /// The vocabulary sorts `prefix` and `from` range over.
     sorts: VocabSorts,
+    /// NE011's verdict on an entry with no `match` line, once asked: its
+    /// conjunction is `true`, so its probe is `SAT(domain)` for every
+    /// such entry of the network.
+    catch_all_contradictory: Option<bool>,
 }
 
 impl FreeRoute {
@@ -138,6 +142,7 @@ impl FreeRoute {
             free: BTreeMap::new(),
             domain,
             sorts,
+            catch_all_contradictory: None,
         }
     }
 
@@ -221,9 +226,17 @@ fn lint_map(
         // budgeted/faulted solver must not masquerade as a refutation.
         // Attribute the query to the diagnostic probing it, so `netexpl
         // profile` can rank lint probes by solver cost.
-        *solved += 1;
-        session.set_origin(format!("NE011:{}:{}", map.name, e.seq));
-        if matches!(session.check_assuming(ctx, &[m_i]).0, SmtResult::Unsat) {
+        let mut probe = || {
+            *solved += 1;
+            session.set_origin(format!("NE011:{}:{}", map.name, e.seq));
+            matches!(session.check_assuming(ctx, &[m_i]).0, SmtResult::Unsat)
+        };
+        let contradictory = if e.matches.is_empty() {
+            *route.catch_all_contradictory.get_or_insert_with(probe)
+        } else {
+            probe()
+        };
+        if contradictory {
             diags.push(
                 Diagnostic::new(
                     Code::ContradictoryMatch,

@@ -373,8 +373,10 @@ Req1 { !(P1 -> ... -> P2) }
         assert_eq!(engine.metrics().counter("serve.pool.misses"), 1);
     }
 
-    /// A cold build freezes its context once; a warm explain forks the
-    /// frozen context and copies nothing, so it freezes nothing.
+    /// A cold build freezes its context twice, each time in place: before
+    /// synthesis forks the scratch context it solves in, and after the
+    /// cache is built. A warm explain forks the frozen context and copies
+    /// nothing, so it freezes nothing.
     #[test]
     fn only_a_cold_explain_freezes_a_context() {
         let engine = Engine::new(EngineConfig::default(), SharedMetrics::new());
@@ -389,11 +391,13 @@ Req1 { !(P1 -> ... -> P2) }
             handle.spans_named("ctx.freeze")
         };
         let cold = freezes(&explain_op());
-        assert_eq!(cold.len(), 1, "{cold:?}");
-        assert_eq!(
-            cold[0].attr("copied"),
-            Some(&netexpl_obs::AttrValue::Bool(false))
-        );
+        assert_eq!(cold.len(), 2, "{cold:?}");
+        for freeze in &cold {
+            assert_eq!(
+                freeze.attr("copied"),
+                Some(&netexpl_obs::AttrValue::Bool(false))
+            );
+        }
         assert!(freezes(&explain_op()).is_empty(), "warm all-router explain");
         assert!(freezes(&single).is_empty(), "warm single-router explain");
     }

@@ -90,7 +90,8 @@ pub struct SynthResult {
 ///
 /// `ctx` must be the context in which the sketch's holes were created, and
 /// `vocab`'s sorts must already be materialized in it (pass the same
-/// [`crate::vocab::VocabSorts`]).
+/// [`crate::vocab::VocabSorts`]). It keeps what the encoder adds and comes
+/// back frozen; the solve bit-blasts in a scratch fork that is dropped.
 pub fn synthesize(
     ctx: &mut Ctx,
     topo: &Topology,
@@ -123,6 +124,7 @@ pub fn synthesize(
         span.attr("paths", stats.num_paths);
     }
 
+    let mut scratch = scratch_fork(ctx);
     let model = {
         let _solve_span = Span::enter("solve");
         // One check: a fresh session asserts every constraint in one
@@ -132,16 +134,17 @@ pub fn synthesize(
         session.set_budget(options.budget.clone());
         session.set_origin("synthesize");
         let constraints: Vec<TermId> = encoded.constraints().collect();
-        session.assert(ctx, &constraints);
+        session.assert(&mut scratch, &constraints);
         // Unknown must not be misread as Unsat: an interrupted search says
         // nothing about satisfiability.
-        match session.check(ctx) {
+        match session.check(&mut scratch) {
             SmtResult::Sat(m) => m,
             SmtResult::Unsat => return Err(SynthError::Unsat),
             SmtResult::Unknown(i) => return Err(SynthError::Interrupted(i)),
         }
     };
-    let config = sketch.concretize(ctx, vocab, &sorts, &model);
+    let config = sketch.concretize(&scratch, vocab, &sorts, &model);
+    drop(scratch);
 
     let violations = check_specification(topo, &config, spec);
     if !violations.is_empty() {
@@ -169,14 +172,15 @@ pub fn synthesize_diverse(
     let mut encoder = Encoder::new(topo, vocab, sorts, options.encode);
     let encoded = encoder.encode(ctx, sketch, spec)?;
     let holes = sketch.symbolic_terms();
+    let mut scratch = scratch_fork(ctx);
     // Model enumeration is a query stream over one constraint set: encode the
     // constraints once into a session so every blocking-clause round reuses
     // the CNF and the learned clauses from the previous rounds.
     let mut session = SmtSession::new();
     session.set_budget(options.budget.clone());
     let constraints: Vec<TermId> = encoded.constraints().collect();
-    session.assert(ctx, &constraints);
-    let (models, interrupt) = session.check_all(ctx, &holes, limit);
+    session.assert(&mut scratch, &constraints);
+    let (models, interrupt) = session.check_all(&mut scratch, &holes, limit);
     if models.is_empty() {
         // With zero models an interrupt means "don't know", not "unsat".
         return Err(match interrupt {
@@ -186,7 +190,7 @@ pub fn synthesize_diverse(
     }
     let mut configs = Vec::with_capacity(models.len());
     for model in &models {
-        let config = sketch.concretize(ctx, vocab, &sorts, model);
+        let config = sketch.concretize(&scratch, vocab, &sorts, model);
         let violations = check_specification(topo, &config, spec);
         if !violations.is_empty() {
             return Err(SynthError::ValidationFailed(violations));
@@ -194,6 +198,15 @@ pub fn synthesize_diverse(
         configs.push(config);
     }
     Ok(configs)
+}
+
+/// The context a solve bit-blasts and decodes in: an O(1) fork of `ctx`,
+/// frozen first. It mints the ids `ctx` would, so the CNF and the models
+/// are the same, and the lowered gates and encoding booleans it adds die
+/// with it: `ctx` keeps the sketch and the encoding only.
+fn scratch_fork(ctx: &mut Ctx) -> Ctx {
+    ctx.freeze();
+    ctx.clone()
 }
 
 /// Build the default sketch — the NetComplete-style "autocompletion"
